@@ -7,10 +7,15 @@ process posterior conditions a zero-mean joint Gaussian on the training
 targets:
 
     mean = K(q, t) (K(t, t) + noise I)^-1 Y
-    cov  = K(q, q) - K(q, t) (K(t, t) + noise I)^-1 K(t, q)
+    cov  = K(q, q) - v^T v,   v = L^-1 K(t, q),   L L^T = K(t, t) + noise I
 
-where q are query inputs and t training inputs. Tiny negative posterior
-eigenvalues produced by roundoff are clamped to zero.
+where q are query inputs and t training inputs (Rasmussen & Williams 2006,
+*GPML*, Alg. 2.1). Variances alone need only the diagonal of K(q, q), which
+``kernel_diag`` gives without forming the matrix, so a variance prediction
+holds O(q n) memory and costs one triangular solve. Gaussian kernels build
+their squared distances one input column at a time, never an
+n1 x n2 x n_x difference tensor. Tiny negative posterior eigenvalues
+produced by roundoff are clamped to zero.
 
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError
@@ -63,6 +68,18 @@ class PolynomialKernel(KernelSpec):
             raise ValidationError(f"offset must be nonnegative, got {self.offset}")
 
 
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||a_i - b_j||^2 for the rows of A and B, an n1 x n2 matrix summed one
+    input column at a time, so no n1 x n2 x n_x difference tensor exists."""
+    sq = np.zeros((A.shape[0], B.shape[0]))
+    diff = np.empty_like(sq)
+    for k in range(A.shape[1]):
+        np.subtract.outer(A[:, k], B[:, k], out=diff)
+        diff *= diff
+        sq += diff
+    return sq
+
+
 def kernel_matrix(spec: KernelSpec, X1, X2) -> np.ndarray:
     """Pairwise kernel evaluations, an n1 x n2 matrix.
 
@@ -74,12 +91,29 @@ def kernel_matrix(spec: KernelSpec, X1, X2) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ValidationError(f"input widths differ: {A.shape[1]} vs {B.shape[1]}")
     if isinstance(spec, GaussianKernel):
-        diff = A[:, None, :] - B[None, :, :]
-        return np.exp(-spec.gamma * np.sum(diff * diff, axis=2))
+        K = _squared_distances(A, B)
+        K *= -spec.gamma
+        return np.exp(K, out=K)
     if isinstance(spec, LinearKernel):
         return A @ B.T
     if isinstance(spec, PolynomialKernel):
         return (A @ B.T + spec.offset) ** spec.degree
+    raise ValidationError(f"unknown kernel {spec!r}")
+
+
+def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
+    """The diagonal of kernel_matrix(spec, X, X), without forming the matrix.
+
+    Gaussian: all ones. Linear: ||x||^2. Polynomial: (||x||^2 + offset)^degree.
+    """
+    A = np.atleast_2d(np.asarray(X, dtype=float))
+    if isinstance(spec, GaussianKernel):
+        return np.ones(A.shape[0])
+    sq = np.einsum("ij,ij->i", A, A)
+    if isinstance(spec, LinearKernel):
+        return sq
+    if isinstance(spec, PolynomialKernel):
+        return (sq + spec.offset) ** spec.degree
     raise ValidationError(f"unknown kernel {spec!r}")
 
 
@@ -120,6 +154,13 @@ def _factor_regularized_kernel(K: np.ndarray, reg: float):
             f"kernel matrix plus {reg} I is not positive-definite "
             f"(smallest pivot/eigenvalue {smallest:.3e})"
         ) from None
+
+
+def _whiten(factor, K_qt: np.ndarray) -> np.ndarray:
+    """v = L^-1 K(t, q) for a factor from ``_factor_regularized_kernel``, so
+    that K(q, t) (K(t, t) + reg I)^-1 K(t, q) = v^T v."""
+    L, lower = factor
+    return solve_triangular(L, K_qt.T, lower=lower)
 
 
 @dataclass(frozen=True)
@@ -177,10 +218,6 @@ def krr_fit(d: Dataset, kernel: KernelSpec, alpha: float) -> KRRModel:
     K = kernel_matrix(kernel, d.inputs, d.inputs)
     factor = _factor_regularized_kernel(K, alpha)
     return KRRModel(kernel, d.inputs, cho_solve(factor, d.targets), alpha)
-
-
-def krr_predict(model: KRRModel, X) -> np.ndarray:
-    return model.predict(X)
 
 
 def woodbury_discrepancy(Phi, alpha: float) -> float:
@@ -252,16 +289,18 @@ def gpr_posterior(
     K_qt = kernel_matrix(kernel, Xq, d.inputs)
     factor = _factor_regularized_kernel(K_tt, noise_variance)
     mean = K_qt @ cho_solve(factor, d.targets)
-    cov = K_qq - K_qt @ cho_solve(factor, K_qt.T)
+    v = _whiten(factor, K_qt)
+    cov = K_qq - v.T @ v
     return GPRPosterior(mean, _clamp_negative_eigenvalues(cov), noise_variance)
 
 
 @dataclass(frozen=True)
 class GPRModel:
     """A fitted Gaussian-process regressor (training inputs, dual
-    coefficients, noise variance) that can be stored and reloaded; mean
-    predictions reuse the dual coefficients, variances redo the
-    training-block solve."""
+    coefficients, noise variance) that can be stored and reloaded. Mean
+    predictions reuse the dual coefficients; variances refactor the
+    training block and take one triangular solve against K(t, q) (GPML
+    Alg. 2.1), holding O(q n) memory for q queries and n training rows."""
 
     kernel: KernelSpec
     train_inputs: np.ndarray
@@ -284,13 +323,14 @@ class GPRModel:
         return kernel_matrix(self.kernel, X, self.train_inputs) @ self.dual_coef
 
     def predict_with_variance(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean K(q, t) dual_coef and latent variance
+        diag K(q, q) - sum_i v_iq^2 with v = L^-1 K(t, q), floored at 0."""
         Xq = np.atleast_2d(np.asarray(X, dtype=float))
-        K_tt = kernel_matrix(self.kernel, self.train_inputs, self.train_inputs)
         K_qt = kernel_matrix(self.kernel, Xq, self.train_inputs)
-        factor = _factor_regularized_kernel(K_tt, self.noise_variance)
-        prior = np.diag(kernel_matrix(self.kernel, Xq, Xq)).copy()
-        var = prior - np.sum(K_qt * cho_solve(factor, K_qt.T).T, axis=1)
-        return self.predict(Xq), np.maximum(var, 0.0)
+        K_tt = kernel_matrix(self.kernel, self.train_inputs, self.train_inputs)
+        v = _whiten(_factor_regularized_kernel(K_tt, self.noise_variance), K_qt)
+        var = kernel_diag(self.kernel, Xq) - np.einsum("ij,ij->j", v, v)
+        return K_qt @ self.dual_coef, np.maximum(var, 0.0)
 
     def to_dict(self) -> dict:
         return {

@@ -22,6 +22,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError
+from .kernels import _squared_distances
 
 CONDITION_WARN_THRESHOLD = 1e12
 
@@ -79,8 +80,7 @@ def default_rbf_shapes(centers) -> np.ndarray:
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     if C.shape[0] < 2:
         raise ValidationError("need at least two centers to infer a shape factor")
-    diff = C[:, None, :] - C[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = np.sqrt(_squared_distances(C, C))
     np.fill_diagonal(dist, np.inf)
     c = 1.0 / (2.0 * np.median(dist.min(axis=1)))
     return np.full(C.shape[0], c)
@@ -104,9 +104,9 @@ def feature_matrix(basis: BasisSpec, X) -> np.ndarray:
                 f"input width {X.shape[1]} does not match centers "
                 f"width {basis.centers.shape[1]}"
             )
-        diff = X[:, None, :] - basis.centers[None, :, :]
-        sq = np.sum(diff * diff, axis=2)
-        return np.exp(-(basis.shapes**2) * sq)
+        Phi = _squared_distances(X, basis.centers)
+        Phi *= -(basis.shapes**2)
+        return np.exp(Phi, out=Phi)
     raise ValidationError(f"unknown basis {basis!r}")
 
 
@@ -174,10 +174,6 @@ def basis_from_dict(doc: dict) -> BasisSpec:
     if doc["type"] == "gaussian_rbf":
         return GaussianRBF(np.asarray(doc["centers"]), np.asarray(doc["shapes"]))
     raise ValidationError(f"unknown basis type {doc['type']!r}")
-
-
-def predict(model: LinearModel, X) -> np.ndarray:
-    return model.predict(X)
 
 
 def model_param_jacobian(model: LinearModel, X) -> np.ndarray:
@@ -260,7 +256,7 @@ def lasso_fit(
     Minimizes (1/n_p)||Y - Phi W||^2 + alpha ||W||_1 with step size 1/L,
     L the largest eigenvalue of (2/n_p) Phi^T Phi (power iteration), and
     the soft-threshold prox. Stops when the largest parameter change drops
-    below ``tol``; on hitting ``max_iters`` first, the best iterate is
+    below ``tol``; on hitting ``max_iters`` first, the last iterate is
     returned and a RuntimeWarning is emitted.
     """
     if alpha < 0:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,32 @@ def test_kernel_symmetry_and_psd():
     X = rng.standard_normal((8, 1))
     K = kernels.kernel_matrix(kernels.GaussianKernel(0.5), X, X)
     cho_factor(K + 1e-12 * np.eye(8))  # PSD up to jitter: factorization succeeds
+
+
+KERNELS = (kernels.GaussianKernel(0.5), kernels.LinearKernel(),
+           kernels.PolynomialKernel(3, 1.0))
+
+
+@pytest.mark.parametrize("spec", KERNELS)
+def test_kernel_diag_matches_matrix_diagonal(spec):
+    X = np.random.default_rng(12).standard_normal((9, 3))
+    np.testing.assert_allclose(kernels.kernel_diag(spec, X),
+                               np.diag(kernels.kernel_matrix(spec, X, X)), rtol=1e-14)
+
+
+def test_gaussian_matches_difference_tensor():
+    # the old n1 x n2 x n_x formula, kept as the reference; same bits for 1-D
+    rng = np.random.default_rng(13)
+    spec = kernels.GaussianKernel(0.8)
+    for n_x in range(1, 5):
+        A = rng.standard_normal((20, n_x))
+        B = rng.standard_normal((15, n_x))
+        diff = A[:, None, :] - B[None, :, :]
+        ref = np.exp(-spec.gamma * np.sum(diff * diff, axis=2))
+        K = kernels.kernel_matrix(spec, A, B)
+        np.testing.assert_allclose(K, ref, rtol=0, atol=1e-14)
+        if n_x == 1:
+            np.testing.assert_array_equal(K, ref)
 
 
 def test_kernel_width_mismatch():
@@ -156,6 +183,33 @@ class TestGPR:
         # reconstructed matrix adds only eps-level dust
         assert np.linalg.eigvalsh(post.covariance).min() >= -1e-12
         assert (post.variances >= 0.0).all()
+
+    @pytest.mark.parametrize("kern", KERNELS)
+    def test_model_variance_matches_full_posterior(self, kern):
+        rng = np.random.default_rng(14)
+        X = rng.uniform(-2, 2, (25, 2))
+        d = Dataset(X, np.sin(X[:, :1]) + X[:, 1:])
+        Xq = rng.uniform(-3, 3, (40, 2))
+        mean, var = kernels.gpr_fit(d, kern, 1e-3).predict_with_variance(Xq)
+        post = kernels.gpr_posterior(d, Xq, kern, 1e-3)
+        np.testing.assert_array_equal(mean, post.mean)
+        scale = np.max(kernels.kernel_diag(kern, Xq))
+        np.testing.assert_allclose(var, post.variances, rtol=0, atol=1e-12 * scale)
+
+    def test_variance_memory_is_linear_in_queries(self):
+        # n = 100 training rows and q = 2000 queries: a q x q prior block
+        # alone would be 32 MB, K(q, t) and v = L^-1 K(t, q) are 1.6 MB each
+        rng = np.random.default_rng(15)
+        X = rng.uniform(-2, 2, (100, 1))
+        m = kernels.gpr_fit(Dataset(X, np.sin(X)), kernels.GaussianKernel(1.0), 1e-2)
+        Xq = rng.uniform(-2, 2, (2000, 1))
+        tracemalloc.start()
+        try:
+            m.predict_with_variance(Xq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_jitter_rescues_singular_psd_kernel(self):
         # duplicated inputs make K singular; the documented 1e-10 jitter

@@ -134,6 +134,21 @@ class TestLasso:
         with pytest.warns(RuntimeWarning, match="did not converge"):
             linear.lasso_fit(d, linear.Polynomial(3), 0.01, max_iters=2, tol=0.0)
 
+    def test_nonconvergence_returns_last_iterate(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, (20, 1))
+        d = Dataset(x, rng.standard_normal((20, 1)))
+        basis, alpha = linear.Polynomial(3), 0.01
+        Phi = linear.feature_matrix(basis, x)
+        step = 1.0 / linear._largest_eigenvalue((2.0 / 20) * (Phi.T @ Phi))
+        W = np.zeros((4, 1))
+        for _ in range(3):
+            grad = (2.0 / 20) * (Phi.T @ (Phi @ W - d.targets))
+            W = linear.soft_threshold(W - step * grad, alpha * step)
+        with pytest.warns(RuntimeWarning, match="last iterate"):
+            m = linear.lasso_fit(d, basis, alpha, max_iters=3, tol=0.0)
+        np.testing.assert_array_equal(m.weights, W)
+
 
 class TestPredictAndJacobian:
     def test_zero_weights_zero_predictions(self):
@@ -186,6 +201,23 @@ def test_serialization_reproduces_predictions_bit_identically():
     back = linear.LinearModel.from_dict(doc)
     X = rng.uniform(-1, 1, (20, 1))
     np.testing.assert_array_equal(back.predict(X), m.predict(X))
+
+
+def test_rbf_distances_match_difference_tensor():
+    # the old n1 x n2 x n_x formula, kept as the reference: same bits for 1-D and 2-D
+    rng = np.random.default_rng(10)
+    for n_x in (1, 2):
+        centers = rng.uniform(-1, 1, (7, n_x))
+        basis = linear.GaussianRBF(centers, rng.uniform(0.5, 2.0, 7))
+        X = rng.uniform(-1, 1, (30, n_x))
+        diff = X[:, None, :] - centers[None, :, :]
+        ref = np.exp(-(basis.shapes**2) * np.sum(diff * diff, axis=2))
+        np.testing.assert_array_equal(linear.feature_matrix(basis, X), ref)
+        diff = centers[:, None, :] - centers[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        np.fill_diagonal(dist, np.inf)
+        ref_c = 1.0 / (2.0 * np.median(dist.min(axis=1)))
+        np.testing.assert_array_equal(linear.default_rbf_shapes(centers), np.full(7, ref_c))
 
 
 def test_default_rbf_shapes_formula():
