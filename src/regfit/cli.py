@@ -13,7 +13,6 @@ is null otherwise) so that default outputs stay reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from . import kernels, linear, losses, network, optim, physics, resampling, symreg
-from .data import Dataset, generate_fig2_like, load_csv, load_inputs_csv, save_csv
+from .data import Dataset, _write_table, generate_fig2_like, load_csv, load_inputs_csv, save_csv
 from .errors import NumericalError, ValidationError
 
 DEFAULT_SEED = 42
@@ -42,11 +41,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    _write_table(path, header, (table,), "\n")
 
 
 def _outdir(args) -> Path:

@@ -4,12 +4,22 @@ The CSV layout is fixed: a mandatory header whose columns are named
 ``x0..x{n_x-1}`` (inputs) and ``y0..y{n_y-1}`` (targets), comma separated,
 UTF-8, '.' decimal point. Numeric output uses 17 significant digits so a
 save/load round trip is lossless at double precision.
+
+Reads parse the body with one vectorized ``np.loadtxt`` call; a file it
+rejects is read again one ``csv.reader`` row at a time, which accepts what
+Python's ``float`` accepts (quoted cells, ``1_0``) and otherwise raises the
+error that names the first bad row and column. ``save_csv`` (and so
+``gen-data``) ends lines with ``\r\n``; the CLI's own tables end them with
+``\n``. Prediction inputs (``load_inputs_csv``) follow ``load_csv``'s row
+rules: every row has one cell per header column and every cell, y-columns
+included, is a finite number.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -34,16 +44,12 @@ def _reference_curve(x: np.ndarray) -> np.ndarray:
 
 
 @runtime_checkable
-class Predictor(Protocol):
-    """Anything that maps an input matrix to an output matrix, row for row."""
+class TrainablePredictor(Protocol):
+    """A model that maps an input matrix to an output matrix, row for row,
+    and whose behaviour is fully determined by a flat parameter vector;
+    gradient-based training works on copies, never in place."""
 
     def predict(self, X: np.ndarray) -> np.ndarray: ...
-
-
-@runtime_checkable
-class TrainablePredictor(Predictor, Protocol):
-    """A predictor whose behaviour is fully determined by a flat parameter
-    vector; gradient-based training works on copies, never in place."""
 
     def get_params(self) -> np.ndarray: ...
 
@@ -112,10 +118,15 @@ class SplitIndices:
 
 _COLUMN_RE = re.compile(r"([xy])(\d+)")
 
+# Rows formatted per write call: bounds the writer's memory to one chunk's
+# strings whatever the table's length.
+WRITE_CHUNK_ROWS = 8192
 
-def _parse_header(header: list[str]) -> tuple[list[int], list[int]]:
+
+def _parse_header(header: list[str], targets_required: bool) -> tuple[list[int], list[int]]:
     """Map header names to (input column positions, target column positions),
-    each ordered by the numeric suffix."""
+    each ordered by the numeric suffix. Without ``targets_required`` the
+    header may name no y column."""
     x_cols: dict[int, int] = {}
     y_cols: dict[int, int] = {}
     for pos, name in enumerate(header):
@@ -127,12 +138,86 @@ def _parse_header(header: list[str]) -> tuple[list[int], list[int]]:
         if idx in side:
             raise ValidationError(f"duplicate column {name!r} in header")
         side[idx] = pos
-    if not x_cols or not y_cols:
+    if targets_required and not (x_cols and y_cols):
         raise ValidationError("header must contain at least one x and one y column")
+    if not x_cols:
+        raise ValidationError("header must contain at least one x column")
     for side, label in ((x_cols, "x"), (y_cols, "y")):
         if sorted(side) != list(range(len(side))):
             raise ValidationError(f"{label} columns must be named {label}0..{label}{len(side) - 1}")
     return [x_cols[i] for i in range(len(x_cols))], [y_cols[i] for i in range(len(y_cols))]
+
+
+def _open_csv(path):
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot open {path}: {exc}") from exc
+
+
+def _read_table(path, targets_required: bool) -> tuple[np.ndarray, list[int], list[int]]:
+    """Every cell of ``path`` as an n x n_cols array, plus the x and y column
+    positions of its header.
+
+    ``np.loadtxt`` parses the body in one call. Whatever it rejects or reads
+    as 0 rows, the wrong width or a non-finite value goes to ``_read_rows``,
+    which either accepts it too (quoted or ``1_0`` cells) or raises the
+    error that names the row and column.
+    """
+    with _open_csv(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data"
+        try:
+            header = next(csv.reader(fh))
+            body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (StopIteration, ValueError, csv.Error):
+            body = None
+    if (body is None or body.shape[0] == 0 or body.shape[1] != len(header)
+            or not np.isfinite(body).all()):
+        return _read_rows(path, targets_required)
+    return (body, *_parse_header(header, targets_required))
+
+
+def _read_rows(path, targets_required: bool) -> tuple[np.ndarray, list[int], list[int]]:
+    """``_read_table`` one ``csv.reader`` row and one ``float`` cell at a time;
+    the first bad row raises a ValidationError that names it."""
+    try:
+        with _open_csv(path) as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file, header expected") from None
+            x_pos, y_pos = _parse_header(header, targets_required)
+            rows: list[list[float]] = []
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    )
+                values = []
+                for pos, cell in enumerate(row):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise ValidationError(
+                            f"{path}: non-numeric cell {cell!r} at row {row_no}, "
+                            f"column {header[pos]!r}"
+                        ) from None
+                    if not np.isfinite(v):
+                        raise ValidationError(
+                            f"{path}: non-finite value at row {row_no}, column {header[pos]!r}"
+                        )
+                    values.append(v)
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return np.asarray(rows), x_pos, y_pos
 
 
 def load_csv(path) -> Dataset:
@@ -141,95 +226,36 @@ def load_csv(path) -> Dataset:
     Raises ValidationError on a missing file, malformed header, ragged rows
     or a non-numeric cell (the error names the offending data row).
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, header expected") from None
-        x_pos, y_pos = _parse_header(header)
-        rows: list[list[float]] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for pos, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: non-numeric cell {cell!r} at row {row_no}, "
-                        f"column {header[pos]!r}"
-                    ) from None
-                if not np.isfinite(v):
-                    raise ValidationError(
-                        f"{path}: non-finite value at row {row_no}, column {header[pos]!r}"
-                    )
-                values.append(v)
-            rows.append(values)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    body = np.asarray(rows)
+    body, x_pos, y_pos = _read_table(path, targets_required=True)
     return Dataset(body[:, x_pos], body[:, y_pos])
 
 
 def load_inputs_csv(path) -> np.ndarray:
-    """Read only the x-columns of a CSV file (y-columns, if any, are ignored).
+    """Read the x-columns of a CSV file for prediction queries, which need no
+    targets: y-columns may be absent, but any that are present must hold
+    numbers, by the same row rules as ``load_csv``."""
+    body, x_pos, _ = _read_table(path, targets_required=False)
+    return body[:, x_pos]
 
-    Used for prediction queries, which need no targets.
-    """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, header expected") from None
-        x_pos: dict[int, int] = {}
-        for pos, name in enumerate(header):
-            m = _COLUMN_RE.fullmatch(name.strip())
-            if not m:
-                raise ValidationError(f"unrecognized column name {name!r} in header")
-            if m.group(1) == "x":
-                x_pos[int(m.group(2))] = pos
-        if sorted(x_pos) != list(range(len(x_pos))) or not x_pos:
-            raise ValidationError("header must contain columns x0..x{n_x-1}")
-        cols = [x_pos[i] for i in range(len(x_pos))]
-        rows = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(row[c]) for c in cols])
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}: bad input row {row_no}") from None
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    X = np.asarray(rows)
-    if not np.isfinite(X).all():
-        raise ValidationError(f"{path}: non-finite input values")
-    return X
+
+def _write_table(path, header: list[str], parts, newline: str) -> None:
+    """Write ``header`` and then the rows of the 2-D arrays ``parts`` placed
+    side by side, 17 significant digits per value (``nan``, ``inf`` and
+    ``-0`` as Python's float formatting spells them), WRITE_CHUNK_ROWS rows
+    per format call."""
+    line = ",".join(["%.17g"] * len(header)) + newline
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + newline)
+        for start in range(0, parts[0].shape[0], WRITE_CHUNK_ROWS):
+            block = np.hstack([p[start:start + WRITE_CHUNK_ROWS] for p in parts])
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def save_csv(d: Dataset, path) -> None:
-    """Write ``d`` to ``path`` with 17 significant digits per value."""
+    """Write ``d`` to ``path`` with 17 significant digits per value and
+    ``\\r\\n`` line ends."""
     header = [f"x{i}" for i in range(d.n_inputs)] + [f"y{j}" for j in range(d.n_outputs)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xi, yi in zip(d.inputs, d.targets):
-            writer.writerow([format(v, ".17g") for v in (*xi, *yi)])
+    _write_table(path, header, (d.inputs, d.targets), "\r\n")
 
 
 def split_indices(n_points: int, test_fraction: float, seed: int) -> SplitIndices:

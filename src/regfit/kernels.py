@@ -139,21 +139,30 @@ def kernel_from_dict(doc: dict) -> KernelSpec:
 
 
 def _factor_regularized_kernel(K: np.ndarray, reg: float):
-    """Cholesky of K + reg I; retries once with a tiny jitter when reg = 0."""
-    A = K + reg * np.eye(K.shape[0])
+    """Cholesky of K + reg I; retries once with a tiny jitter when reg = 0.
+
+    Each attempt factors its own Fortran-ordered copy of K in place, so the
+    copy is the only n x n array allocated (LAPACK overwrites it on failure)."""
     try:
-        return cho_factor(A, lower=True)
+        return cho_factor(_shifted(K, reg), lower=True, overwrite_a=True)
     except LinAlgError:
         if reg == 0.0:
             try:
-                return cho_factor(A + DIAGONAL_JITTER * np.eye(K.shape[0]), lower=True)
+                return cho_factor(_shifted(K, DIAGONAL_JITTER), lower=True, overwrite_a=True)
             except LinAlgError:
                 pass
-        smallest = float(np.linalg.eigvalsh(A)[0])
+        smallest = float(np.linalg.eigvalsh(_shifted(K, reg))[0])
         raise NumericalError(
             f"kernel matrix plus {reg} I is not positive-definite "
             f"(smallest pivot/eigenvalue {smallest:.3e})"
         ) from None
+
+
+def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
+    """K + shift I as a new Fortran-ordered array."""
+    A = np.array(K, dtype=float, order="F")
+    A[np.diag_indices_from(A)] += shift
+    return A
 
 
 def _whiten(factor, K_qt: np.ndarray) -> np.ndarray:

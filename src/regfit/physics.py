@@ -146,13 +146,6 @@ def derivative_matrices(basis: BasisSpec, x) -> tuple[np.ndarray, np.ndarray, np
     raise ValidationError(f"no derivative rule for basis {basis!r}")
 
 
-def rbf_derivative_matrices(basis: GaussianRBF, x):
-    """Analytic derivatives of the Gaussian radial basis (1-D inputs)."""
-    if not isinstance(basis, GaussianRBF):
-        raise ValidationError("rbf_derivative_matrices needs a GaussianRBF basis")
-    return derivative_matrices(basis, x)
-
-
 def _coeffs_at(problem: CollocationProblem, x: np.ndarray):
     a = np.asarray([problem.a(v) for v in x], dtype=float)
     b = np.asarray([problem.b(v) for v in x], dtype=float)

@@ -85,6 +85,22 @@ class TestFit:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("body, message", [
+        ("0.5,1.0\n0.7\n", "row 2 has 1 cells, expected 2"),
+        ("0.5,abc\n", "non-numeric cell 'abc' at row 1, column 'y0'"),
+        ("0.5,nan\n", "non-finite value at row 1, column 'y0'"),
+    ])
+    def test_malformed_query_file_exits_1(self, data_csv, tmp_path, capsys, body, message):
+        fit_dir, query = tmp_path / "f", tmp_path / "q.csv"
+        run(["fit", "--input", data_csv, "--model", "ridge", "--output", fit_dir])
+        query.write_text("x0,y0\n" + body)
+        capsys.readouterr()
+        assert run(["predict", "--model", fit_dir / "model.json", "--input", query,
+                    "--output", tmp_path / "p"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(message)
+        assert "Traceback" not in err
+
     def test_ridge_has_no_uncertainty_column(self, data_csv, tmp_path):
         fit_dir, pred_dir = tmp_path / "f", tmp_path / "p"
         run(["fit", "--input", data_csv, "--model", "ridge", "--output", fit_dir])

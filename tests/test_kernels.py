@@ -223,6 +223,34 @@ class TestGPR:
         with pytest.raises(NumericalError, match="pivot"):
             kernels._factor_regularized_kernel(indefinite, 0.0)
 
+    def test_jitter_retry_factors_k_plus_jitter(self):
+        K = np.ones((3, 3))  # PSD, rank 1: the plain factorization fails
+        L, lower = kernels._factor_regularized_kernel(K, 0.0)
+        L = np.tril(L)
+        np.testing.assert_allclose(L @ L.T, K + kernels.DIAGONAL_JITTER * np.eye(3),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(K, np.ones((3, 3)))
+
+    def test_non_pd_error_names_smallest_eigenvalue(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericalError, match=r"plus 0\.5 I .*eigenvalue -5\.000e-01"):
+            kernels._factor_regularized_kernel(indefinite, 0.5)
+        np.testing.assert_array_equal(indefinite, [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_factor_is_cho_factor_of_the_sum_in_one_copy(self):
+        X = np.random.default_rng(16).uniform(-2, 2, (400, 1))
+        K = kernels.kernel_matrix(kernels.GaussianKernel(4.0), X, X)
+        expected = cho_factor(K + 1e-2 * np.eye(400), lower=True)[0]
+        tracemalloc.start()
+        try:
+            L, _ = kernels._factor_regularized_kernel(K, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(L, expected)
+        # the copy that becomes the factor, plus check_finite's boolean mask
+        assert peak < 1.25 * K.nbytes
+
     def test_fitted_model_round_trip(self):
         d = self._train()
         m = kernels.gpr_fit(d, kernels.GaussianKernel(0.7), 1e-3)

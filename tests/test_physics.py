@@ -22,13 +22,13 @@ def _affine_problem(source=0.0, bc=((0.0, "dirichlet", 0.0), (1.0, "dirichlet", 
 class TestDerivativeMatrices:
     def test_first_derivative_vanishes_at_center(self):
         basis = linear.GaussianRBF(np.array([[0.4]]), np.array([3.0]))
-        _, phi1, _ = physics.rbf_derivative_matrices(basis, [0.4])
+        _, phi1, _ = physics.derivative_matrices(basis, [0.4])
         assert phi1[0, 0] == 0.0
 
     def test_second_derivative_at_center(self):
         c = 2.5
         basis = linear.GaussianRBF(np.array([[0.0]]), np.array([c]))
-        _, _, phi2 = physics.rbf_derivative_matrices(basis, [0.0])
+        _, _, phi2 = physics.derivative_matrices(basis, [0.0])
         assert phi2[0, 0] == pytest.approx(-2.0 * c**2)
 
     def test_matches_finite_differences(self):
@@ -36,7 +36,7 @@ class TestDerivativeMatrices:
         basis = linear.GaussianRBF(centers, np.full(6, 4.0))
         x = np.linspace(0.05, 0.95, 11)
         h = 1e-5
-        phi, phi1, phi2 = physics.rbf_derivative_matrices(basis, x)
+        phi, phi1, phi2 = physics.derivative_matrices(basis, x)
         fp = linear.feature_matrix(basis, (x + h)[:, None])
         fm = linear.feature_matrix(basis, (x - h)[:, None])
         num1 = (fp - fm) / (2 * h)
@@ -56,7 +56,7 @@ class TestDerivativeMatrices:
     def test_needs_1d_centers(self):
         basis = linear.GaussianRBF(np.zeros((2, 2)), np.ones(2))
         with pytest.raises(ValidationError):
-            physics.rbf_derivative_matrices(basis, [0.0])
+            physics.derivative_matrices(basis, [0.0])
 
 
 class TestResidual:
