@@ -23,7 +23,7 @@ from scipy.linalg import LinAlgError
 
 from . import kernels, linear, losses, network, optim, physics, resampling, symreg
 from .data import Dataset, _write_table, generate_fig2_like, load_csv, load_inputs_csv, save_csv
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_keys
 
 DEFAULT_SEED = 42
 CONFIDENCE_FACTOR = 1.96  # half-width multiplier of the 95% band
@@ -135,14 +135,17 @@ def cmd_fit(args) -> int:
             model = linear.lasso_fit(fit_data, basis, args.alpha, args.max_iters, args.tol)
         final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs),
                                        model.get_params())
-    elif args.model == "krr":
-        model = kernels.krr_fit(fit_data, _kernel_from_args(args), args.alpha)
-        final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs))
-    elif args.model == "gpr":
-        model = kernels.gpr_fit(fit_data, _kernel_from_args(args), args.noise)
+    elif args.model in ("krr", "gpr"):
+        fit, reg = ((kernels.krr_fit, args.alpha) if args.model == "krr"
+                    else (kernels.gpr_fit, args.noise))
+        model = fit(fit_data, _kernel_from_args(args), reg)
         final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs))
     elif args.model == "mlp":
-        sizes = [int(v) for v in args.layers.split(",")]
+        try:
+            sizes = [int(v) for v in args.layers.split(",")]
+        except ValueError:
+            raise ValidationError(f"--layers must be comma-separated integers, "
+                                  f"got {args.layers!r}") from None
         if sizes[0] != fit_data.n_inputs or sizes[-1] != fit_data.n_outputs:
             raise ValidationError(
                 f"--layers {args.layers} does not match data widths "
@@ -180,22 +183,32 @@ def cmd_fit(args) -> int:
 
 def _load_model(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    kind = doc.get("kind")
+    try:
+        return doc, _model_from_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _model_from_dict(doc):
+    """The model a stored document describes; for a bagged ensemble, its basis."""
+    require_keys(doc, ("kind",), "model")
+    if doc.get("standardize"):
+        require_keys(doc["standardize"], ("mean", "std"), "standardize")
+    kind = doc["kind"]
     if kind == "linear":
-        return doc, linear.LinearModel.from_dict(doc)
-    if kind == "krr":
-        return doc, kernels.KRRModel.from_dict(doc)
-    if kind == "gpr":
-        return doc, kernels.GPRModel.from_dict(doc)
+        return linear.LinearModel.from_dict(doc)
+    if kind in ("krr", "gpr"):
+        return kernels.KernelModel.from_dict(doc)
     if kind == "mlp":
-        return doc, network.MLP.from_dict(doc)
+        return network.MLP.from_dict(doc)
     if kind == "linear_ensemble":
-        return doc, None
+        require_keys(doc, ("basis", "weight_population", "j_i_mean"), "model 'linear_ensemble'")
+        return linear.basis_from_dict(doc["basis"])
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -209,11 +222,10 @@ def cmd_predict(args) -> int:
         y, var = model.predict_with_variance(Xs)
         unc = CONFIDENCE_FACTOR * np.sqrt(var)
     elif doc["kind"] == "linear_ensemble":
-        basis = linear.basis_from_dict(doc["basis"])
         W = np.asarray(doc["weight_population"])
 
-        def predict_member(xg, w):
-            return linear.LinearModel(basis, w[:, None]).predict(xg)[:, 0]
+        def predict_member(xg, w):  # model is the ensemble's basis
+            return linear.LinearModel(model, w[:, None]).predict(xg)[:, 0]
 
         y_mean, u = resampling.ensemble_predict(Xs, W, float(doc["j_i_mean"]), predict_member)
         y = y_mean[:, None]

@@ -2,7 +2,8 @@
 
 The CSV layout is fixed: a mandatory header whose columns are named
 ``x0..x{n_x-1}`` (inputs) and ``y0..y{n_y-1}`` (targets), comma separated,
-UTF-8, '.' decimal point. Numeric output uses 17 significant digits so a
+UTF-8 (a leading byte-order mark, as spreadsheet programs write it, is
+skipped), '.' decimal point. Numeric output uses 17 significant digits so a
 save/load round trip is lossless at double precision.
 
 Reads parse the body with one vectorized ``np.loadtxt`` call; a file it
@@ -123,34 +124,36 @@ _COLUMN_RE = re.compile(r"([xy])(\d+)")
 WRITE_CHUNK_ROWS = 8192
 
 
-def _parse_header(header: list[str], targets_required: bool) -> tuple[list[int], list[int]]:
+def _parse_header(path, header: list[str], targets_required: bool) -> tuple[list[int], list[int]]:
     """Map header names to (input column positions, target column positions),
     each ordered by the numeric suffix. Without ``targets_required`` the
-    header may name no y column."""
+    header may name no y column. Errors name the file ``path``."""
     x_cols: dict[int, int] = {}
     y_cols: dict[int, int] = {}
     for pos, name in enumerate(header):
         m = _COLUMN_RE.fullmatch(name.strip())
         if not m:
-            raise ValidationError(f"unrecognized column name {name!r} in header")
+            raise ValidationError(f"{path}: unrecognized column name {name!r} in header")
         idx = int(m.group(2))
         side = x_cols if m.group(1) == "x" else y_cols
         if idx in side:
-            raise ValidationError(f"duplicate column {name!r} in header")
+            raise ValidationError(f"{path}: duplicate column {name!r} in header")
         side[idx] = pos
     if targets_required and not (x_cols and y_cols):
-        raise ValidationError("header must contain at least one x and one y column")
+        raise ValidationError(f"{path}: header must contain at least one x and one y column")
     if not x_cols:
-        raise ValidationError("header must contain at least one x column")
+        raise ValidationError(f"{path}: header must contain at least one x column")
     for side, label in ((x_cols, "x"), (y_cols, "y")):
         if sorted(side) != list(range(len(side))):
-            raise ValidationError(f"{label} columns must be named {label}0..{label}{len(side) - 1}")
+            raise ValidationError(
+                f"{path}: {label} columns must be named {label}0..{label}{len(side) - 1}"
+            )
     return [x_cols[i] for i in range(len(x_cols))], [y_cols[i] for i in range(len(y_cols))]
 
 
 def _open_csv(path):
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
 
@@ -174,7 +177,7 @@ def _read_table(path, targets_required: bool) -> tuple[np.ndarray, list[int], li
     if (body is None or body.shape[0] == 0 or body.shape[1] != len(header)
             or not np.isfinite(body).all()):
         return _read_rows(path, targets_required)
-    return (body, *_parse_header(header, targets_required))
+    return (body, *_parse_header(path, header, targets_required))
 
 
 def _read_rows(path, targets_required: bool) -> tuple[np.ndarray, list[int], list[int]]:
@@ -187,7 +190,7 @@ def _read_rows(path, targets_required: bool) -> tuple[np.ndarray, list[int], lis
                 header = next(reader)
             except StopIteration:
                 raise ValidationError(f"{path}: empty file, header expected") from None
-            x_pos, y_pos = _parse_header(header, targets_required)
+            x_pos, y_pos = _parse_header(path, header, targets_required)
             rows: list[list[float]] = []
             for row_no, row in enumerate(reader, start=1):
                 if not row:

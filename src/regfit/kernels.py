@@ -1,10 +1,11 @@
 """Non-parametric predictors: interpolation, kNN, kernel ridge, GP posterior.
 
-Kernel predictors keep the training inputs; predictions are
-K(query, train) @ dual_coef with dual_coef = (K(train, train) + reg I)^-1 Y,
-obtained through a symmetric positive-definite factorization. The Gaussian
-process posterior conditions a zero-mean joint Gaussian on the training
-targets:
+Kernel ridge and the Gaussian-process posterior mean are one estimator
+(*GPML* sections 2.2 and 6.2), so both fits return one ``KernelModel``. It
+keeps the training inputs and predicts K(query, train) @ dual_coef with
+dual_coef = (K(train, train) + reg I)^-1 Y, obtained through a symmetric
+positive-definite factorization; for a GP, reg is the noise variance. The
+posterior conditions a zero-mean joint Gaussian on the training targets:
 
     mean = K(q, t) (K(t, t) + noise I)^-1 Y
     cov  = K(q, q) - v^T v,   v = L^-1 K(t, q),   L L^T = K(t, t) + noise I
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 from .data import Dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_keys
 
 # jitter added to a kernel diagonal when an unregularized factorization fails
 DIAGONAL_JITTER = 1e-10
@@ -128,12 +129,15 @@ def kernel_to_dict(spec: KernelSpec) -> dict:
 
 
 def kernel_from_dict(doc: dict) -> KernelSpec:
+    require_keys(doc, ("type",), "kernel")
     kind = doc["type"]
     if kind == "gaussian":
+        require_keys(doc, ("gamma",), "gaussian kernel")
         return GaussianKernel(float(doc["gamma"]))
     if kind == "linear":
         return LinearKernel()
     if kind == "polynomial":
+        require_keys(doc, ("degree", "offset"), "polynomial kernel")
         return PolynomialKernel(int(doc["degree"]), float(doc["offset"]))
     raise ValidationError(f"unknown kernel type {kind!r}")
 
@@ -170,63 +174,6 @@ def _whiten(factor, K_qt: np.ndarray) -> np.ndarray:
     that K(q, t) (K(t, t) + reg I)^-1 K(t, q) = v^T v."""
     L, lower = factor
     return solve_triangular(L, K_qt.T, lower=lower)
-
-
-@dataclass(frozen=True)
-class KRRModel:
-    """Kernel ridge regression state: kernel, stored training inputs,
-    per-training-point dual coefficients, and the scalar regularizer."""
-
-    kernel: KernelSpec
-    train_inputs: np.ndarray
-    dual_coef: np.ndarray
-    regularizer: float
-
-    def __post_init__(self):
-        X = np.atleast_2d(np.array(self.train_inputs, dtype=float, copy=True))
-        A = np.array(self.dual_coef, dtype=float, copy=True)
-        if A.ndim == 1:
-            A = A[:, None]
-        if A.shape[0] != X.shape[0]:
-            raise ValidationError(
-                f"dual coefficient rows ({A.shape[0]}) must equal stored "
-                f"training rows ({X.shape[0]})"
-            )
-        X.setflags(write=False)
-        A.setflags(write=False)
-        object.__setattr__(self, "train_inputs", X)
-        object.__setattr__(self, "dual_coef", A)
-
-    def predict(self, X) -> np.ndarray:
-        return kernel_matrix(self.kernel, X, self.train_inputs) @ self.dual_coef
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "krr",
-            "kernel": kernel_to_dict(self.kernel),
-            "train_inputs": self.train_inputs.tolist(),
-            "dual_coefficients": self.dual_coef.tolist(),
-            "regularizer": self.regularizer,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "KRRModel":
-        return KRRModel(
-            kernel_from_dict(doc["kernel"]),
-            np.asarray(doc["train_inputs"]),
-            np.asarray(doc["dual_coefficients"]),
-            float(doc["regularizer"]),
-        )
-
-
-def krr_fit(d: Dataset, kernel: KernelSpec, alpha: float) -> KRRModel:
-    """Dual coefficients (K + alpha I)^-1 Y via Cholesky; alpha >= 0."""
-    if alpha < 0:
-        raise ValidationError(f"regularizer must be nonnegative, got {alpha}")
-    K = kernel_matrix(kernel, d.inputs, d.inputs)
-    factor = _factor_regularized_kernel(K, alpha)
-    return KRRModel(kernel, d.inputs, cho_solve(factor, d.targets), alpha)
 
 
 def woodbury_discrepancy(Phi, alpha: float) -> float:
@@ -303,26 +250,33 @@ def gpr_posterior(
     return GPRPosterior(mean, _clamp_negative_eigenvalues(cov), noise_variance)
 
 
-@dataclass(frozen=True)
-class GPRModel:
-    """A fitted Gaussian-process regressor (training inputs, dual
-    coefficients, noise variance) that can be stored and reloaded. Mean
-    predictions reuse the dual coefficients; variances refactor the
-    training block and take one triangular solve against K(t, q) (GPML
-    Alg. 2.1), holding O(q n) memory for q queries and n training rows."""
+_REGULARIZER_KEYS = {"krr": "regularizer", "gpr": "noise_variance"}  # JSON key per kind
 
+
+@dataclass(frozen=True)
+class KernelModel:
+    """A fitted kernel ridge (``kind`` "krr") or Gaussian-process (``kind``
+    "gpr") regressor: kernel, stored training inputs, per-training-point dual
+    coefficients (K(t, t) + regularizer I)^-1 Y, and the scalar regularizer,
+    which for a GP is the noise variance. The kind names the stored key of
+    the regularizer and whether the CLI reports a variance."""
+
+    kind: str
     kernel: KernelSpec
     train_inputs: np.ndarray
     dual_coef: np.ndarray
-    noise_variance: float
+    regularizer: float
 
     def __post_init__(self):
+        if self.kind not in _REGULARIZER_KEYS:
+            raise ValidationError(f"kernel model kind must be krr or gpr, got {self.kind!r}")
         X = np.atleast_2d(np.array(self.train_inputs, dtype=float, copy=True))
         A = np.array(self.dual_coef, dtype=float, copy=True)
         if A.ndim == 1:
             A = A[:, None]
         if A.shape[0] != X.shape[0]:
-            raise ValidationError("dual coefficient rows must equal stored training rows")
+            raise ValidationError(f"dual coefficient rows ({A.shape[0]}) must equal "
+                                  f"stored training rows ({X.shape[0]})")
         X.setflags(write=False)
         A.setflags(write=False)
         object.__setattr__(self, "train_inputs", X)
@@ -333,41 +287,58 @@ class GPRModel:
 
     def predict_with_variance(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean K(q, t) dual_coef and latent variance
-        diag K(q, q) - sum_i v_iq^2 with v = L^-1 K(t, q), floored at 0."""
+        diag K(q, q) - sum_i v_iq^2 with v = L^-1 K(t, q), floored at 0; the
+        training block is factored again, and q queries hold O(q n) memory."""
         Xq = np.atleast_2d(np.asarray(X, dtype=float))
         K_qt = kernel_matrix(self.kernel, Xq, self.train_inputs)
         K_tt = kernel_matrix(self.kernel, self.train_inputs, self.train_inputs)
-        v = _whiten(_factor_regularized_kernel(K_tt, self.noise_variance), K_qt)
+        v = _whiten(_factor_regularized_kernel(K_tt, self.regularizer), K_qt)
         var = kernel_diag(self.kernel, Xq) - np.einsum("ij,ij->j", v, v)
         return K_qt @ self.dual_coef, np.maximum(var, 0.0)
 
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "kind": "gpr",
+            "kind": self.kind,
             "kernel": kernel_to_dict(self.kernel),
             "train_inputs": self.train_inputs.tolist(),
             "dual_coefficients": self.dual_coef.tolist(),
-            "noise_variance": self.noise_variance,
+            _REGULARIZER_KEYS[self.kind]: self.regularizer,
         }
 
     @staticmethod
-    def from_dict(doc: dict) -> "GPRModel":
-        return GPRModel(
+    def from_dict(doc: dict) -> "KernelModel":
+        require_keys(doc, ("kind",), "kernel model")
+        kind = doc["kind"]
+        if kind not in _REGULARIZER_KEYS:
+            raise ValidationError(f"kernel model kind must be krr or gpr, got {kind!r}")
+        keys = ("kernel", "train_inputs", "dual_coefficients", _REGULARIZER_KEYS[kind])
+        require_keys(doc, keys, f"model {kind!r}")
+        return KernelModel(
+            kind,
             kernel_from_dict(doc["kernel"]),
             np.asarray(doc["train_inputs"]),
             np.asarray(doc["dual_coefficients"]),
-            float(doc["noise_variance"]),
+            float(doc[_REGULARIZER_KEYS[kind]]),
         )
 
 
-def gpr_fit(d: Dataset, kernel: KernelSpec, noise_variance: float) -> GPRModel:
-    """Precompute the dual coefficients of the posterior mean."""
-    if noise_variance < 0:
-        raise ValidationError(f"noise variance must be nonnegative, got {noise_variance}")
-    K_tt = kernel_matrix(kernel, d.inputs, d.inputs)
-    factor = _factor_regularized_kernel(K_tt, noise_variance)
-    return GPRModel(kernel, d.inputs, cho_solve(factor, d.targets), noise_variance)
+def krr_fit(d: Dataset, kernel: KernelSpec, alpha: float) -> KernelModel:
+    """Kernel ridge: dual coefficients (K + alpha I)^-1 Y via Cholesky; alpha >= 0."""
+    return _kernel_fit("krr", d, kernel, alpha, "regularizer")
+
+
+def gpr_fit(d: Dataset, kernel: KernelSpec, noise_variance: float) -> KernelModel:
+    """Gaussian process: the same dual coefficients, with the noise variance
+    as regularizer, give the posterior mean."""
+    return _kernel_fit("gpr", d, kernel, noise_variance, "noise variance")
+
+
+def _kernel_fit(kind: str, d: Dataset, kernel: KernelSpec, reg: float, name: str):
+    if reg < 0:
+        raise ValidationError(f"{name} must be nonnegative, got {reg}")
+    factor = _factor_regularized_kernel(kernel_matrix(kernel, d.inputs, d.inputs), reg)
+    return KernelModel(kind, kernel, d.inputs, cho_solve(factor, d.targets), reg)
 
 
 def interp1_linear(x_train, y_train, xq: float) -> float:

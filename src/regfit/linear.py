@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .data import Dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_keys
 from .kernels import _squared_distances
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -153,6 +153,7 @@ class LinearModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "LinearModel":
+        require_keys(doc, ("basis", "weights"), "model 'linear'")
         return LinearModel(basis_from_dict(doc["basis"]), np.asarray(doc["weights"]))
 
 
@@ -169,9 +170,12 @@ def basis_to_dict(basis: BasisSpec) -> dict:
 
 
 def basis_from_dict(doc: dict) -> BasisSpec:
+    require_keys(doc, ("type",), "basis")
     if doc["type"] == "polynomial":
+        require_keys(doc, ("degree",), "polynomial basis")
         return Polynomial(int(doc["degree"]))
     if doc["type"] == "gaussian_rbf":
+        require_keys(doc, ("centers", "shapes"), "gaussian_rbf basis")
         return GaussianRBF(np.asarray(doc["centers"]), np.asarray(doc["shapes"]))
     raise ValidationError(f"unknown basis type {doc['type']!r}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_keys
 from .losses import EpsilonInsensitive, LossSpec, Penalized, loss_gradient
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -97,9 +97,9 @@ class MLP:
 
     @staticmethod
     def from_dict(doc: dict) -> "MLP":
-        sizes = [int(n) for n in doc["layer_sizes"]]
-        skeleton = init_mlp(sizes, doc["activations"], seed=0)
-        return unflatten_params(skeleton, np.asarray(doc["params"]))
+        require_keys(doc, ("layer_sizes", "activations", "params"), "model 'mlp'")
+        sizes = tuple(int(n) for n in doc["layer_sizes"])
+        return MLP(sizes, *_split_params(sizes, doc["params"]), tuple(doc["activations"]))
 
 
 def init_mlp(layer_sizes, activations=None, seed: int = 0) -> MLP:
@@ -127,19 +127,26 @@ def flatten_params(net: MLP) -> np.ndarray:
     return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in zip(net.weights, net.biases)])
 
 
-def unflatten_params(net: MLP, w) -> MLP:
-    """Rebuild a network with the same shape from a flat vector."""
+def _split_params(sizes, w) -> tuple[tuple, tuple]:
+    """Slice a flat vector into the weight matrices and bias vectors of a
+    network with layer sizes ``sizes``."""
     w = np.asarray(w, dtype=float).ravel()
-    if w.size != param_count(net):
-        raise ValidationError(f"parameter vector has {w.size} entries, expected {param_count(net)}")
+    expected = sum(b * a + b for a, b in zip(sizes[:-1], sizes[1:]))
+    if w.size != expected:
+        raise ValidationError(f"parameter vector has {w.size} entries, expected {expected}")
     Ws, bs = [], []
     pos = 0
-    for W, b in zip(net.weights, net.biases):
-        Ws.append(w[pos : pos + W.size].reshape(W.shape))
-        pos += W.size
-        bs.append(w[pos : pos + b.size])
-        pos += b.size
-    return MLP(net.layer_sizes, tuple(Ws), tuple(bs), net.activations)
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        Ws.append(w[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        bs.append(w[pos : pos + fan_out])
+        pos += fan_out
+    return tuple(Ws), tuple(bs)
+
+
+def unflatten_params(net: MLP, w) -> MLP:
+    """Rebuild a network with the same shape from a flat vector."""
+    return MLP(net.layer_sizes, *_split_params(net.layer_sizes, w), net.activations)
 
 
 def forward(net: MLP, X) -> tuple[np.ndarray, list]:

@@ -2,9 +2,12 @@
 and its fusion with data fitting.
 
 A problem is a(x) u'' + b(x) u' + c(x) u = g(x) on [x_lo, x_hi] with
-Dirichlet or Neumann boundary conditions. A candidate solution is a linear
-combination of basis functions; its pointwise defect at the collocation
-points is the residual vector that the solvers drive toward zero.
+Dirichlet or Neumann boundary conditions. The coefficient functions a, b,
+c and g take the whole 1-D array of points and return an array of the same
+shape or a scalar, which is broadcast; each is called once per array, never
+once per point. A candidate solution is a linear combination of basis
+functions; its pointwise defect at the collocation points is the residual
+vector that the solvers drive toward zero.
 
 Two fusion strategies are implemented on top of the shared residual
 machinery:
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve
 
 from .data import Dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_keys
 from .linear import BasisSpec, GaussianRBF, LinearModel, Polynomial, feature_matrix, ridge_solve
 from .losses import MSE, LossSpec
 from .network import MLP, backprop, backprop_from_output_grad, flatten_params, forward
@@ -55,10 +58,11 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class CollocationProblem:
-    """Coefficients a, b, c and source g of a(x)u'' + b(x)u' + c(x)u = g(x),
-    the domain, the boundary conditions, and (optionally) explicit interior
-    collocation points. When the points are omitted, solvers default to
-    2 * n_basis equispaced interior points."""
+    """Coefficients a, b, c and source g of a(x)u'' + b(x)u' + c(x)u = g(x)
+    (callables from a 1-D point array to an array or a scalar), the domain,
+    the boundary conditions, and (optionally) explicit interior collocation
+    points. When the points are omitted, solvers default to 2 * n_basis
+    equispaced interior points."""
 
     a: object
     b: object
@@ -147,11 +151,9 @@ def derivative_matrices(basis: BasisSpec, x) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _coeffs_at(problem: CollocationProblem, x: np.ndarray):
-    a = np.asarray([problem.a(v) for v in x], dtype=float)
-    b = np.asarray([problem.b(v) for v in x], dtype=float)
-    c = np.asarray([problem.c(v) for v in x], dtype=float)
-    g = np.asarray([problem.source(v) for v in x], dtype=float)
-    return a, b, c, g
+    """a, b, c and g at the 1-D points x, one call each; scalars broadcast."""
+    return tuple(np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+                 for f in (problem.a, problem.b, problem.c, problem.source))
 
 
 def operator_matrix(problem: CollocationProblem, basis: BasisSpec, x):
@@ -439,31 +441,43 @@ def pinn_train(
 # ---------------------------------------------------------------------------
 # problem files: coefficient functions are named built-ins with parameters
 
-def coefficient_from_spec(doc) -> object:
-    """Build a scalar coefficient function from its JSON description.
+def coefficient_from_spec(doc, name: str = "coefficient") -> object:
+    """Build a coefficient function from its JSON description: a number, or
+    an object whose kind is const {value}, poly {coeffs, highest power
+    first} or sin {amplitude, frequency, phase} meaning A sin(f x + p).
+    ``name`` labels the coefficient in error messages.
 
-    Supported kinds: const {value}, poly {coeffs, highest power first},
-    sin {amplitude, frequency, phase} meaning A sin(f x + p).
+    The function maps an array of points to an array of values; a number
+    or a const kind gives a scalar, which callers broadcast.
     """
     if isinstance(doc, (int, float)):
         v = float(doc)
         return lambda x: v
-    kind = doc.get("kind")
+    what = f"coefficient {name!r}"
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a number or a JSON object, got {doc!r}")
+    require_keys(doc, ("kind",), what)
+    kind = doc["kind"]
     if kind == "const":
+        require_keys(doc, ("value",), what)
         v = float(doc["value"])
         return lambda x: v
     if kind == "poly":
+        require_keys(doc, ("coeffs",), what)
         coeffs = [float(c) for c in doc["coeffs"]]
-        return lambda x: float(np.polyval(coeffs, x))
+        return lambda x: np.polyval(coeffs, x)
     if kind == "sin":
         amp = float(doc.get("amplitude", 1.0))
         freq = float(doc.get("frequency", 1.0))
         phase = float(doc.get("phase", 0.0))
         return lambda x: amp * np.sin(freq * x + phase)
-    raise ValidationError(f"unknown coefficient kind {kind!r}")
+    raise ValidationError(f"unknown kind {kind!r} of {what}")
 
 
 def problem_from_dict(doc: dict) -> CollocationProblem:
+    require_keys(doc, ("domain", "boundary"), "problem")
+    for i, b in enumerate(doc["boundary"]):
+        require_keys(b, ("location", "kind", "value"), f"boundary condition {i}")
     bcs = tuple(
         BoundaryCondition(float(b["location"]), str(b["kind"]).lower(), float(b["value"]))
         for b in doc["boundary"]
@@ -473,10 +487,10 @@ def problem_from_dict(doc: dict) -> CollocationProblem:
         lo, hi = (float(v) for v in doc["domain"])
         pts = np.linspace(lo, hi, int(doc["n_collocation"]) + 2)[1:-1]
     return CollocationProblem(
-        a=coefficient_from_spec(doc.get("a", 1.0)),
-        b=coefficient_from_spec(doc.get("b", 0.0)),
-        c=coefficient_from_spec(doc.get("c", 0.0)),
-        source=coefficient_from_spec(doc.get("source", 0.0)),
+        a=coefficient_from_spec(doc.get("a", 1.0), "a"),
+        b=coefficient_from_spec(doc.get("b", 0.0), "b"),
+        c=coefficient_from_spec(doc.get("c", 0.0), "c"),
+        source=coefficient_from_spec(doc.get("source", 0.0), "source"),
         domain=tuple(float(v) for v in doc["domain"]),
         boundary=bcs,
         collocation_points=pts,
@@ -489,6 +503,9 @@ def load_problem(path) -> CollocationProblem:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return problem_from_dict(doc)
+    try:
+        return problem_from_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -215,3 +215,43 @@ def test_inputs_do_not_get_mutated(data_csv, tmp_path):
     run(["fit", "--input", data_csv, "--model", "ridge", "--output", tmp_path / "o"])
     run(["cv", "--input", data_csv, "--output", tmp_path / "c"])
     assert data_csv.read_bytes() == before
+
+
+class TestBadFilesAndArguments:
+    """Each malformed model file, problem file or argument exits 1 with an
+    ``error:`` line naming the file (or option) and the key at fault."""
+
+    @staticmethod
+    def _fails(args, capsys, *needles):
+        capsys.readouterr()
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for needle in needles:
+            assert needle in err, err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "linear"}, "'basis'"),
+        ({"kind": "gpr"}, "'kernel'"),
+        ([1, 2], "JSON object"),
+    ], ids=["linear-without-basis", "gpr-without-kernel", "json-list"])
+    def test_bad_model_file(self, data_csv, tmp_path, capsys, doc, key):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        self._fails(["predict", "--model", model, "--input", data_csv,
+                     "--output", tmp_path / "p"], capsys, "model.json", key)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"domain": [0.0, 1.0]}, "'boundary'"),
+        ({"domain": [0.0, 1.0], "a": "x",
+          "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0}]}, "'a'"),
+    ], ids=["no-boundary", "coefficient-string"])
+    def test_bad_problem_file(self, tmp_path, capsys, doc, key):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(doc))
+        self._fails(["pde-solve", "--problem", problem, "--output", tmp_path / "o"],
+                    capsys, "problem.json", key)
+
+    def test_non_integer_layer_size(self, data_csv, tmp_path, capsys):
+        self._fails(["fit", "--input", data_csv, "--model", "mlp", "--layers", "1,a,1",
+                     "--output", tmp_path / "o"], capsys, "--layers", "'1,a,1'")

@@ -206,3 +206,26 @@ def test_writer_memory_is_bounded_by_one_chunk(tmp_path):
 
     one_chunk = peak(data.WRITE_CHUNK_ROWS)
     assert peak(50_000) < 1.5 * one_chunk
+
+
+# ---------------------------------------------------------------------------
+# byte-order mark and header messages
+
+@pytest.mark.parametrize("body", ["1.5,2\r\n-3,4e-3\r\n", '"1.5",2\r\n-3,4e-3\r\n'],
+                         ids=["fast-path", "row-loop"])
+def test_byte_order_mark_is_skipped(tmp_path, body):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(("x0,y0\r\n" + body).encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = data.load_csv(plain), data.load_csv(marked)
+    np.testing.assert_array_equal(b.inputs, a.inputs)
+    np.testing.assert_array_equal(b.targets, a.targets)
+    np.testing.assert_array_equal(data.load_inputs_csv(marked), data.load_inputs_csv(plain))
+
+
+@pytest.mark.parametrize("header", ["x0,q", "x0,x0,y0", "y0", "x1,y0", "x0,y1"])
+def test_header_messages_name_the_file(tmp_path, header):
+    p = tmp_path / "named.csv"
+    p.write_text(header + "\n1,2\n")
+    with pytest.raises(ValidationError, match=r"^.*named\.csv: "):
+        data.load_csv(p)

@@ -91,8 +91,8 @@ class TestKRR:
         assert np.max(np.abs(m.predict(X))) < 1e-5
 
     def test_zero_dual_zero_predictions(self):
-        m = kernels.KRRModel(kernels.GaussianKernel(1.0), np.zeros((3, 1)),
-                             np.zeros((3, 1)), 0.1)
+        m = kernels.KernelModel("krr", kernels.GaussianKernel(1.0), np.zeros((3, 1)),
+                                np.zeros((3, 1)), 0.1)
         np.testing.assert_array_equal(m.predict([[0.2]]), np.zeros((1, 1)))
 
     def test_linear_kernel_matches_identity_feature_ridge(self):
@@ -255,11 +255,11 @@ class TestGPR:
         d = self._train()
         m = kernels.gpr_fit(d, kernels.GaussianKernel(0.7), 1e-3)
         doc = json.loads(json.dumps(m.to_dict()))
-        back = kernels.GPRModel.from_dict(doc)
+        back = kernels.KernelModel.from_dict(doc)
         Xq = np.linspace(-1, 1, 5)[:, None]
         np.testing.assert_array_equal(back.predict(Xq), m.predict(Xq))
         m2 = kernels.krr_fit(d, kernels.GaussianKernel(0.7), 1e-3)
-        back2 = kernels.KRRModel.from_dict(json.loads(json.dumps(m2.to_dict())))
+        back2 = kernels.KernelModel.from_dict(json.loads(json.dumps(m2.to_dict())))
         np.testing.assert_array_equal(back2.predict(Xq), m2.predict(Xq))
 
 

@@ -191,3 +191,25 @@ def test_serialization_round_trip():
     back = network.MLP.from_dict(json.loads(json.dumps(net.to_dict())))
     X = np.linspace(-1, 1, 9)[:, None]
     np.testing.assert_array_equal(back.predict(X), net.predict(X))
+
+
+def test_from_dict_builds_without_a_random_skeleton(monkeypatch):
+    net = network.init_mlp([2, 3, 1], ["relu", "identity"], seed=4)
+    doc = json.loads(json.dumps(net.to_dict()))
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("from_dict must not draw an initial network")
+
+    monkeypatch.setattr(network, "init_mlp", no_init)
+    back = network.MLP.from_dict(doc)
+    assert back.layer_sizes == net.layer_sizes and back.activations == net.activations
+    for got, want in zip(back.weights + back.biases, net.weights + net.biases):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_from_dict_refuses_a_params_list_of_the_wrong_length(delta):
+    doc = network.init_mlp([1, 4, 1], seed=0).to_dict()
+    doc["params"] = [0.0] * (network.param_count(network.init_mlp([1, 4, 1])) + delta)
+    with pytest.raises(ValidationError, match="parameter vector has"):
+        network.MLP.from_dict(doc)

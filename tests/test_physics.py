@@ -289,3 +289,45 @@ def test_problem_validation():
         )
     with pytest.raises(ValidationError):
         physics.BoundaryCondition(0.0, "robin", 1.0)
+
+
+def test_operator_matrix_calls_each_coefficient_once(poisson_basis):
+    calls = {"a": 0, "b": 0, "c": 0, "source": 0}
+
+    def counted(name, f):
+        def coefficient(x):
+            calls[name] += 1
+            return f(x)
+        return coefficient
+
+    problem = physics.CollocationProblem(
+        a=counted("a", lambda x: 1.0 + x * x), b=counted("b", lambda x: 0.5),
+        c=counted("c", lambda x: -x), source=counted("source", np.sin),
+        domain=(0.0, 1.0), boundary=(physics.BoundaryCondition(0.0, "dirichlet", 0.0),),
+    )
+    x = np.linspace(0.05, 0.95, 30)
+    L, g = physics.operator_matrix(problem, poisson_basis, x)
+    assert calls == {"a": 1, "b": 1, "c": 1, "source": 1}
+    phi, phi1, phi2 = physics.derivative_matrices(poisson_basis, x)
+    expected = (1.0 + x * x)[:, None] * phi2 + 0.5 * phi1 + (-x)[:, None] * phi
+    np.testing.assert_array_equal(L, expected)
+    np.testing.assert_array_equal(g, np.sin(x))
+
+
+def test_coefficient_specs_evaluate_whole_arrays():
+    x = np.linspace(-1.0, 2.0, 7)
+    poly = physics.coefficient_from_spec({"kind": "poly", "coeffs": [2.0, 0.0, -1.0]})
+    np.testing.assert_array_equal(poly(x), np.polyval([2.0, 0.0, -1.0], x))
+    sin = physics.coefficient_from_spec({"kind": "sin", "amplitude": 2.0, "frequency": 3.0})
+    np.testing.assert_array_equal(sin(x), 2.0 * np.sin(3.0 * x))
+    assert physics.coefficient_from_spec(4)(x) == 4.0
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("x", "coefficient 'a' must be a number or a JSON object"),
+    ({"value": 1.0}, "coefficient 'a' is missing the key 'kind'"),
+    ({"kind": "poly"}, "coefficient 'a' is missing the key 'coeffs'"),
+])
+def test_coefficient_spec_errors_name_the_coefficient(spec, message):
+    with pytest.raises(ValidationError, match=message):
+        physics.coefficient_from_spec(spec, "a")
