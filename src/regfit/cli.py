@@ -23,7 +23,7 @@ from scipy.linalg import LinAlgError
 
 from . import kernels, linear, losses, network, optim, physics, resampling, symreg
 from .data import Dataset, _write_table, generate_fig2_like, load_csv, load_inputs_csv, save_csv
-from .errors import NumericalError, ValidationError, require_keys
+from .errors import NumericalError, ValidationError, as_number, as_number_array, require_keys
 
 DEFAULT_SEED = 42
 CONFIDENCE_FACTOR = 1.96  # half-width multiplier of the 95% band
@@ -199,6 +199,8 @@ def _model_from_dict(doc):
     require_keys(doc, ("kind",), "model")
     if doc.get("standardize"):
         require_keys(doc["standardize"], ("mean", "std"), "standardize")
+        for key in ("mean", "std"):
+            as_number_array(doc["standardize"][key], f"standardize key {key!r}")
     kind = doc["kind"]
     if kind == "linear":
         return linear.LinearModel.from_dict(doc)
@@ -207,7 +209,10 @@ def _model_from_dict(doc):
     if kind == "mlp":
         return network.MLP.from_dict(doc)
     if kind == "linear_ensemble":
-        require_keys(doc, ("basis", "weight_population", "j_i_mean"), "model 'linear_ensemble'")
+        what = "model 'linear_ensemble'"
+        require_keys(doc, ("basis", "weight_population", "j_i_mean"), what)
+        as_number_array(doc["weight_population"], f"{what} key 'weight_population'")
+        as_number(doc["j_i_mean"], f"{what} key 'j_i_mean'")
         return linear.basis_from_dict(doc["basis"])
     raise ValidationError(f"unknown model kind {kind!r}")
 

@@ -3,7 +3,16 @@
 Two failure categories exist: bad inputs (shapes, ranges, malformed files)
 and numerical breakdown (singular systems, failed factorizations). The CLI
 maps them to exit codes 1 and 2 respectively.
+
+The ``require_keys`` and ``as_*`` helpers check documents read from files:
+they turn a missing key or a value of the wrong type into a ValidationError
+that names the key.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -22,3 +31,42 @@ def require_keys(doc, keys, what: str) -> None:
     for key in keys:
         if key not in doc:
             raise ValidationError(f"{what} is missing the key {key!r}")
+
+
+def as_number(value, what: str) -> float:
+    """``value`` as a float; a ValidationError naming ``what`` unless it is a
+    finite number (JSON true and false are not numbers)."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int; a ValidationError naming ``what`` unless it is an
+    integral number."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_number_array(value, what: str, vector: bool = False) -> np.ndarray:
+    """``value`` as an array; a ValidationError naming ``what`` unless it is
+    a finite number or equally nested lists of finite numbers (one flat list
+    if ``vector``)."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = None
+    if (a is None or a.dtype.kind not in "iuf" or (vector and a.ndim != 1)
+            or not np.isfinite(a).all()):
+        shape = "a list of" if vector else "a number or equally nested lists of"
+        raise ValidationError(f"{what} must be {shape} finite numbers")
+    return a

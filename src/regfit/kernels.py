@@ -32,7 +32,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 from .data import Dataset
-from .errors import NumericalError, ValidationError, require_keys
+from .errors import (
+    NumericalError, ValidationError, as_integer, as_number, as_number_array, require_keys,
+)
 
 # jitter added to a kernel diagonal when an unregularized factorization fails
 DIAGONAL_JITTER = 1e-10
@@ -133,12 +135,13 @@ def kernel_from_dict(doc: dict) -> KernelSpec:
     kind = doc["type"]
     if kind == "gaussian":
         require_keys(doc, ("gamma",), "gaussian kernel")
-        return GaussianKernel(float(doc["gamma"]))
+        return GaussianKernel(as_number(doc["gamma"], "gaussian kernel key 'gamma'"))
     if kind == "linear":
         return LinearKernel()
     if kind == "polynomial":
         require_keys(doc, ("degree", "offset"), "polynomial kernel")
-        return PolynomialKernel(int(doc["degree"]), float(doc["offset"]))
+        return PolynomialKernel(as_integer(doc["degree"], "polynomial kernel key 'degree'"),
+                                as_number(doc["offset"], "polynomial kernel key 'offset'"))
     raise ValidationError(f"unknown kernel type {kind!r}")
 
 
@@ -312,14 +315,15 @@ class KernelModel:
         kind = doc["kind"]
         if kind not in _REGULARIZER_KEYS:
             raise ValidationError(f"kernel model kind must be krr or gpr, got {kind!r}")
-        keys = ("kernel", "train_inputs", "dual_coefficients", _REGULARIZER_KEYS[kind])
-        require_keys(doc, keys, f"model {kind!r}")
+        reg_key = _REGULARIZER_KEYS[kind]
+        what = f"model {kind!r}"
+        require_keys(doc, ("kernel", "train_inputs", "dual_coefficients", reg_key), what)
         return KernelModel(
             kind,
             kernel_from_dict(doc["kernel"]),
-            np.asarray(doc["train_inputs"]),
-            np.asarray(doc["dual_coefficients"]),
-            float(doc[_REGULARIZER_KEYS[kind]]),
+            as_number_array(doc["train_inputs"], f"{what} key 'train_inputs'"),
+            as_number_array(doc["dual_coefficients"], f"{what} key 'dual_coefficients'"),
+            as_number(doc[reg_key], f"{what} key {reg_key!r}"),
         )
 
 

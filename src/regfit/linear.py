@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .data import Dataset
-from .errors import NumericalError, ValidationError, require_keys
+from .errors import NumericalError, ValidationError, as_integer, as_number_array, require_keys
 from .kernels import _squared_distances
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -154,7 +154,8 @@ class LinearModel:
     @staticmethod
     def from_dict(doc: dict) -> "LinearModel":
         require_keys(doc, ("basis", "weights"), "model 'linear'")
-        return LinearModel(basis_from_dict(doc["basis"]), np.asarray(doc["weights"]))
+        weights = as_number_array(doc["weights"], "model 'linear' key 'weights'")
+        return LinearModel(basis_from_dict(doc["basis"]), weights)
 
 
 def basis_to_dict(basis: BasisSpec) -> dict:
@@ -173,10 +174,11 @@ def basis_from_dict(doc: dict) -> BasisSpec:
     require_keys(doc, ("type",), "basis")
     if doc["type"] == "polynomial":
         require_keys(doc, ("degree",), "polynomial basis")
-        return Polynomial(int(doc["degree"]))
+        return Polynomial(as_integer(doc["degree"], "polynomial basis key 'degree'"))
     if doc["type"] == "gaussian_rbf":
         require_keys(doc, ("centers", "shapes"), "gaussian_rbf basis")
-        return GaussianRBF(np.asarray(doc["centers"]), np.asarray(doc["shapes"]))
+        return GaussianRBF(as_number_array(doc["centers"], "gaussian_rbf basis key 'centers'"),
+                           as_number_array(doc["shapes"], "gaussian_rbf basis key 'shapes'"))
     raise ValidationError(f"unknown basis type {doc['type']!r}")
 
 

@@ -124,25 +124,27 @@ def weighted_mse(y_true, y_pred, covariance) -> float:
 
 
 def huber(e, delta: float) -> float:
-    """Mean Huber loss of a residual vector.
+    """Huber loss of a residual vector, or of an (n_p x k) residual matrix
+    summed over each row's entries, averaged over the n_p samples.
 
-    Per sample: e^2/2 inside |e| <= delta, delta*(|e| - delta/2) outside;
+    Per entry: e^2/2 inside |e| <= delta, delta*(|e| - delta/2) outside;
     value and first derivative are continuous at the branch point.
     """
     if not delta > 0:
         raise ValidationError(f"Huber delta must be positive, got {delta}")
-    e = np.asarray(e, dtype=float)
+    e = np.atleast_1d(np.asarray(e, dtype=float))
     ae = np.abs(e)
     per = np.where(ae <= delta, 0.5 * e * e, delta * (ae - 0.5 * delta))
-    return float(np.mean(per))
+    return float(np.sum(per) / _n_samples(e))
 
 
 def eps_insensitive(e, epsilon: float) -> float:
-    """Mean epsilon-insensitive loss: zero inside the tube, |e| - eps outside."""
+    """Epsilon-insensitive loss, zero inside the tube and |e| - eps outside,
+    summed over each row's entries and averaged over the samples."""
     if epsilon < 0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
-    ae = np.abs(np.asarray(e, dtype=float))
-    return float(np.mean(np.maximum(ae - epsilon, 0.0)))
+    ae = np.abs(np.atleast_1d(np.asarray(e, dtype=float)))
+    return float(np.sum(np.maximum(ae - epsilon, 0.0)) / _n_samples(ae))
 
 
 def penalized(base_value: float, w, alpha: float, norm: str = "l2") -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_keys
+from .errors import ValidationError, as_integer, as_number_array, require_keys
 from .losses import EpsilonInsensitive, LossSpec, Penalized, loss_gradient
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -98,8 +98,11 @@ class MLP:
     @staticmethod
     def from_dict(doc: dict) -> "MLP":
         require_keys(doc, ("layer_sizes", "activations", "params"), "model 'mlp'")
-        sizes = tuple(int(n) for n in doc["layer_sizes"])
-        return MLP(sizes, *_split_params(sizes, doc["params"]), tuple(doc["activations"]))
+        what = "model 'mlp' key"
+        sizes = as_number_array(doc["layer_sizes"], f"{what} 'layer_sizes'", vector=True)
+        sizes = tuple(as_integer(n.item(), f"{what} 'layer_sizes' entry") for n in sizes)
+        params = as_number_array(doc["params"], f"{what} 'params'")
+        return MLP(sizes, *_split_params(sizes, params), tuple(doc["activations"]))
 
 
 def init_mlp(layer_sizes, activations=None, seed: int = 0) -> MLP:
@@ -171,7 +174,12 @@ def backprop_from_output_grad(net: MLP, X, out_grad) -> np.ndarray:
     flat parameter vector; ``out_grad`` is dJ/d(output), shaped like the
     network output for the batch X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, caches = forward(net, X)
+    return _backward(net, X, forward(net, X)[1], out_grad)
+
+
+def _backward(net: MLP, X: np.ndarray, caches: list, out_grad) -> np.ndarray:
+    """The backward sweep of ``backprop_from_output_grad`` over the caches
+    that ``forward(net, X)`` returned."""
     G = np.asarray(out_grad, dtype=float).reshape(X.shape[0], net.layer_sizes[-1])
     grads_W = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
@@ -198,9 +206,10 @@ def backprop(net: MLP, X, y_true, loss: LossSpec) -> np.ndarray:
     base = loss.base if isinstance(loss, Penalized) else loss
     if isinstance(base, EpsilonInsensitive):
         raise ValidationError("epsilon-insensitive loss is not differentiable enough for backprop")
-    w = flatten_params(net)
-    out_grad, grad_w = loss_gradient(loss, y_true, forward(net, X)[0], w)
-    grad = backprop_from_output_grad(net, X, out_grad)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out, caches = forward(net, X)
+    out_grad, grad_w = loss_gradient(loss, y_true, out, flatten_params(net))
+    grad = _backward(net, X, caches, out_grad)
     if grad_w is not None:
         grad = grad + grad_w
     return grad

@@ -33,7 +33,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve
 
 from .data import Dataset
-from .errors import NumericalError, ValidationError, require_keys
+from .errors import (
+    NumericalError, ValidationError, as_integer, as_number, as_number_array, require_keys,
+)
 from .linear import BasisSpec, GaussianRBF, LinearModel, Polynomial, feature_matrix, ridge_solve
 from .losses import MSE, LossSpec
 from .network import MLP, backprop, backprop_from_output_grad, flatten_params, forward
@@ -450,48 +452,55 @@ def coefficient_from_spec(doc, name: str = "coefficient") -> object:
     The function maps an array of points to an array of values; a number
     or a const kind gives a scalar, which callers broadcast.
     """
-    if isinstance(doc, (int, float)):
-        v = float(doc)
-        return lambda x: v
     what = f"coefficient {name!r}"
     if not isinstance(doc, dict):
-        raise ValidationError(f"{what} must be a number or a JSON object, got {doc!r}")
+        if isinstance(doc, bool) or not isinstance(doc, (int, float)):
+            raise ValidationError(f"{what} must be a number or a JSON object, got {doc!r}")
+        v = as_number(doc, what)
+        return lambda x: v
     require_keys(doc, ("kind",), what)
     kind = doc["kind"]
     if kind == "const":
         require_keys(doc, ("value",), what)
-        v = float(doc["value"])
+        v = as_number(doc["value"], f"{what} key 'value'")
         return lambda x: v
     if kind == "poly":
         require_keys(doc, ("coeffs",), what)
-        coeffs = [float(c) for c in doc["coeffs"]]
+        coeffs = as_number_array(doc["coeffs"], f"{what} key 'coeffs'", vector=True)
         return lambda x: np.polyval(coeffs, x)
     if kind == "sin":
-        amp = float(doc.get("amplitude", 1.0))
-        freq = float(doc.get("frequency", 1.0))
-        phase = float(doc.get("phase", 0.0))
+        amp = as_number(doc.get("amplitude", 1.0), f"{what} key 'amplitude'")
+        freq = as_number(doc.get("frequency", 1.0), f"{what} key 'frequency'")
+        phase = as_number(doc.get("phase", 0.0), f"{what} key 'phase'")
         return lambda x: amp * np.sin(freq * x + phase)
     raise ValidationError(f"unknown kind {kind!r} of {what}")
 
 
 def problem_from_dict(doc: dict) -> CollocationProblem:
     require_keys(doc, ("domain", "boundary"), "problem")
+    bcs = []
     for i, b in enumerate(doc["boundary"]):
-        require_keys(b, ("location", "kind", "value"), f"boundary condition {i}")
-    bcs = tuple(
-        BoundaryCondition(float(b["location"]), str(b["kind"]).lower(), float(b["value"]))
-        for b in doc["boundary"]
-    )
+        what = f"boundary condition {i}"
+        require_keys(b, ("location", "kind", "value"), what)
+        bcs.append(BoundaryCondition(as_number(b["location"], f"{what} key 'location'"),
+                                     str(b["kind"]).lower(),
+                                     as_number(b["value"], f"{what} key 'value'")))
+    domain = as_number_array(doc["domain"], "problem key 'domain'", vector=True)
+    if domain.size != 2:
+        raise ValidationError(f"problem key 'domain' must hold 2 numbers, got {domain.size}")
+    lo, hi = (float(v) for v in domain)
     pts = doc.get("collocation_points")
-    if pts is None and "n_collocation" in doc:
-        lo, hi = (float(v) for v in doc["domain"])
-        pts = np.linspace(lo, hi, int(doc["n_collocation"]) + 2)[1:-1]
+    if pts is not None:
+        pts = as_number_array(pts, "problem key 'collocation_points'")
+    elif "n_collocation" in doc:
+        n = as_integer(doc["n_collocation"], "problem key 'n_collocation'")
+        pts = np.linspace(lo, hi, n + 2)[1:-1]
     return CollocationProblem(
         a=coefficient_from_spec(doc.get("a", 1.0), "a"),
         b=coefficient_from_spec(doc.get("b", 0.0), "b"),
         c=coefficient_from_spec(doc.get("c", 0.0), "c"),
         source=coefficient_from_spec(doc.get("source", 0.0), "source"),
-        domain=tuple(float(v) for v in doc["domain"]),
+        domain=(lo, hi),
         boundary=bcs,
         collocation_points=pts,
     )

@@ -7,12 +7,18 @@ whenever |denominator| < 1e-12, and every node output is clamped to
 +-1e300, so evaluation is total: finite inputs can never produce a
 non-finite prediction.
 
+A tree is a flat tuple of ``(op, payload)`` nodes in prefix order, as in
+DEAP's ``PrimitiveTree`` (Fortin et al. 2012, JMLR 13:2171); the payload is
+the variable index, the constant value, or None for a function node. Size
+is the tuple's length, a subtree is a slice, crossover and mutation are
+splices, and evaluation and printing are one bottom-up fold.
+
 The evolutionary loop is generational with elitism, replication, subtree
 crossover and subtree mutation; parents come from tournament selection
 with fitness ties broken by smaller trees, then by population index. The
 population is initialized ramped half-and-half between depth 1 and the
 configured maximum. Depth counts edges from the root: a lone terminal has
-depth 0.
+depth 0. Each run caches fitness per distinct tree.
 """
 
 from __future__ import annotations
@@ -36,133 +42,122 @@ TERMINALS = ("var", "const")
 ARITY = {**{op: 2 for op in BINARY_OPS}, **{op: 1 for op in UNARY_OPS}, "var": 0, "const": 0}
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_FUNCTIONS = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "sin": np.sin, "cos": np.cos,
+    "exp": np.exp,
+    "div": lambda a, b: np.where(np.abs(b) < DIV_GUARD, 1.0, a / np.where(b == 0.0, 1.0, b)),
+}
 
 
 @dataclass(frozen=True)
 class ExprTree:
-    """One node: an operation name, its children, and the terminal payload
-    (variable index or constant value)."""
+    """Prefix-ordered ``(op, payload)`` nodes; build with ``var``, ``const``, ``node``."""
 
-    op: str
-    children: tuple = ()
-    value: float | None = None
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.op not in ARITY:
-            raise ValidationError(f"unknown node kind {self.op!r}")
-        if len(self.children) != ARITY[self.op]:
-            raise ValidationError(
-                f"{self.op} takes {ARITY[self.op]} children, got {len(self.children)}"
-            )
-        if self.op == "const":
-            if self.value is None or not np.isfinite(self.value):
-                raise ValidationError("constant terminals need a finite value")
-        if self.op == "var" and (self.index is None or self.index < 0):
-            raise ValidationError("variable terminals need a nonnegative index")
+    nodes: tuple
 
 
 def var(i: int) -> ExprTree:
-    return ExprTree("var", index=i)
+    if i is None or i < 0:
+        raise ValidationError("variable terminals need a nonnegative index")
+    return ExprTree((("var", i),))
 
 
 def const(v: float) -> ExprTree:
-    return ExprTree("const", value=float(v))
+    v = float(v)
+    if not np.isfinite(v):
+        raise ValidationError("constant terminals need a finite value")
+    return ExprTree((("const", v),))
 
 
 def node(op: str, *children: ExprTree) -> ExprTree:
-    return ExprTree(op, children=tuple(children))
+    if op not in ARITY or op in TERMINALS:
+        raise ValidationError(f"unknown function node kind {op!r}")
+    if len(children) != ARITY[op]:
+        raise ValidationError(f"{op} takes {ARITY[op]} children, got {len(children)}")
+    return ExprTree(((op, None),) + tuple(n for c in children for n in c.nodes))
+
+
+def _fold(t: ExprTree, leaf, combine):
+    """Bottom-up fold: ``leaf(op, payload)`` values a terminal and
+    ``combine(op, args)`` a function node from its children's values."""
+    stack = []
+    for op, payload in reversed(t.nodes):
+        if payload is None:
+            stack.append(combine(op, [stack.pop() for _ in range(ARITY[op])]))
+        else:
+            stack.append(leaf(op, payload))
+    return stack[0]
 
 
 def eval_tree(t: ExprTree, X) -> np.ndarray:
     """Evaluate the tree at every input row; always finite (see module doc)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval(t, X)
-    return out
 
-
-def _eval(t: ExprTree, X: np.ndarray) -> np.ndarray:
-    if t.op == "const":
-        return np.full(X.shape[0], t.value)
-    if t.op == "var":
-        if t.index >= X.shape[1]:
+    def leaf(op, payload):
+        if op == "const":
+            return np.full(X.shape[0], payload)
+        if payload >= X.shape[1]:
             raise ValidationError(
-                f"variable x{t.index} out of range for {X.shape[1]} input columns"
+                f"variable x{payload} out of range for {X.shape[1]} input columns"
             )
-        return X[:, t.index].copy()
-    args = [_eval(c, X) for c in t.children]
-    if t.op == "add":
-        out = args[0] + args[1]
-    elif t.op == "sub":
-        out = args[0] - args[1]
-    elif t.op == "mul":
-        out = args[0] * args[1]
-    elif t.op == "div":
-        out = np.where(np.abs(args[1]) < DIV_GUARD, 1.0, args[0] / np.where(args[1] == 0.0, 1.0, args[1]))
-    elif t.op == "sin":
-        out = np.sin(args[0])
-    elif t.op == "cos":
-        out = np.cos(args[0])
-    else:  # exp
-        out = np.exp(args[0])
-    return np.clip(out, -VALUE_CLAMP, VALUE_CLAMP)
+        return X[:, payload].copy()
+
+    def combine(op, args):
+        return np.clip(_FUNCTIONS[op](*args), -VALUE_CLAMP, VALUE_CLAMP)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fold(t, leaf, combine)
+
+
+def _depths(t: ExprTree) -> list:
+    """Depth of every node in prefix order (edges from the root)."""
+    pending, out = [0], []
+    for op, _ in t.nodes:
+        d = pending.pop()
+        out.append(d)
+        pending.extend([d + 1] * ARITY[op])
+    return out
 
 
 def tree_depth(t: ExprTree) -> int:
     """Edges from the root to the deepest leaf; a single terminal is 0."""
-    if not t.children:
-        return 0
-    return 1 + max(tree_depth(c) for c in t.children)
+    return max(_depths(t))
 
 
 def tree_size(t: ExprTree) -> int:
-    return 1 + sum(tree_size(c) for c in t.children)
+    return len(t.nodes)
+
+
+def _leaf_text(op, payload) -> str:
+    return f"x{payload}" if op == "var" else repr(payload)
 
 
 def to_prefix(t: ExprTree) -> str:
     """Parenthesized prefix form, e.g. (add (mul x0 x0) x0)."""
-    if t.op == "var":
-        return f"x{t.index}"
-    if t.op == "const":
-        return repr(t.value)
-    inner = " ".join(to_prefix(c) for c in t.children)
-    return f"({t.op} {inner})"
+    return _fold(t, _leaf_text, lambda op, args: f"({op} {' '.join(args)})")
 
 
 def to_infix(t: ExprTree) -> str:
     """Human-readable infix form with full parenthesization."""
-    if t.op == "var":
-        return f"x{t.index}"
-    if t.op == "const":
-        return repr(t.value)
-    if t.op in _INFIX:
-        a, b = (to_infix(c) for c in t.children)
-        return f"({a} {_INFIX[t.op]} {b})"
-    return f"{t.op}({to_infix(t.children[0])})"
+    def combine(op, args):
+        if op in _INFIX:
+            return f"({args[0]} {_INFIX[op]} {args[1]})"
+        return f"{op}({args[0]})"
+    return _fold(t, _leaf_text, combine)
 
 
-def _positions(t: ExprTree, prefix=()) -> list:
-    """Preorder list of node positions; a position is a child-index path."""
-    out = [prefix]
-    for i, c in enumerate(t.children):
-        out.extend(_positions(c, prefix + (i,)))
-    return out
+def _subtree_end(t: ExprTree, i: int) -> int:
+    """One past the last node of the subtree rooted at node i."""
+    open_slots = 1
+    while open_slots:
+        open_slots += ARITY[t.nodes[i][0]] - 1
+        i += 1
+    return i
 
 
-def _subtree_at(t: ExprTree, pos) -> ExprTree:
-    for i in pos:
-        t = t.children[i]
-    return t
-
-
-def _replace_at(t: ExprTree, pos, repl: ExprTree) -> ExprTree:
-    if not pos:
-        return repl
-    i = pos[0]
-    children = list(t.children)
-    children[i] = _replace_at(children[i], pos[1:], repl)
-    return ExprTree(t.op, tuple(children), t.value, t.index)
+def _splice(t: ExprTree, i: int, repl: tuple) -> ExprTree:
+    """``t`` with the subtree at node i replaced by the nodes ``repl``."""
+    return ExprTree(t.nodes[:i] + repl + t.nodes[_subtree_end(t, i):])
 
 
 @dataclass(frozen=True)
@@ -221,22 +216,17 @@ def random_tree(rng, cfg: GPConfig, n_inputs: int, depth: int, full: bool) -> Ex
     if depth <= 0 or not funcs or (not full and rng.random() < 0.3):
         return _random_terminal(rng, cfg.terminals, n_inputs)
     op = funcs[rng.integers(len(funcs))]
-    kids = tuple(random_tree(rng, cfg, n_inputs, depth - 1, full) for _ in range(ARITY[op]))
-    return ExprTree(op, kids)
+    return node(op, *(random_tree(rng, cfg, n_inputs, depth - 1, full) for _ in range(ARITY[op])))
 
 
 def crossover(t1: ExprTree, t2: ExprTree, rng, max_depth: int = 17) -> tuple[ExprTree, ExprTree]:
     """Swap uniformly chosen subtrees; offspring deeper than max_depth are
     rejected and, after a few retries, the parents come back unchanged."""
     for _ in range(CROSSOVER_RETRIES):
-        p1 = _positions(t1)
-        p2 = _positions(t2)
-        pos1 = p1[rng.integers(len(p1))]
-        pos2 = p2[rng.integers(len(p2))]
-        s1 = _subtree_at(t1, pos1)
-        s2 = _subtree_at(t2, pos2)
-        c1 = _replace_at(t1, pos1, s2)
-        c2 = _replace_at(t2, pos2, s1)
+        i = int(rng.integers(len(t1.nodes)))
+        j = int(rng.integers(len(t2.nodes)))
+        c1 = _splice(t1, i, t2.nodes[j:_subtree_end(t2, j)])
+        c2 = _splice(t2, j, t1.nodes[i:_subtree_end(t1, i)])
         if tree_depth(c1) <= max_depth and tree_depth(c2) <= max_depth:
             return c1, c2
     return t1, t2
@@ -245,17 +235,9 @@ def crossover(t1: ExprTree, t2: ExprTree, rng, max_depth: int = 17) -> tuple[Exp
 def mutate(t: ExprTree, rng, cfg: GPConfig, n_inputs: int) -> ExprTree:
     """Replace a uniformly chosen node by a freshly grown subtree that fits
     the remaining depth budget."""
-    positions = _positions(t)
-    pos = positions[rng.integers(len(positions))]
-    budget = cfg.max_depth - len(pos)
-    repl = random_tree(rng, cfg, n_inputs, budget, full=False)
-    return _replace_at(t, pos, repl)
-
-
-def _fitness(t: ExprTree, X: np.ndarray, y: np.ndarray) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = mse(y, eval_tree(t, X))
-    return f if np.isfinite(f) else np.inf
+    i = int(rng.integers(len(t.nodes)))
+    budget = cfg.max_depth - _depths(t)[i]
+    return _splice(t, i, random_tree(rng, cfg, n_inputs, budget, full=False).nodes)
 
 
 def evolve(d: Dataset, cfg: GPConfig) -> tuple[ExprTree, np.ndarray]:
@@ -278,6 +260,17 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[ExprTree, np.ndarray]:
         depth = 1 + i % cfg.max_depth
         population.append(random_tree(rng, cfg, n_inputs, depth, full=(i % 2 == 0)))
 
+    # Trees equal up to a signed zero share an entry: through these primitives a
+    # signed zero never reaches a nonzero value, and the error is squared.
+    cache = {}
+
+    def fitness(t):
+        if t.nodes not in cache:
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = mse(y, eval_tree(t, X))
+            cache[t.nodes] = f if np.isfinite(f) else np.inf
+        return cache[t.nodes]
+
     def key(idx, fit):
         return (fit[idx], tree_size(population[idx]), idx)
 
@@ -286,12 +279,15 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[ExprTree, np.ndarray]:
         best = min(contenders, key=lambda i: key(i, fit))
         return population[best]
 
+    # Rates sum to 1, so when no variation rate is left n_elite fills the population.
     n_elite = int(np.rint(cfg.elitism_rate * cfg.population_size))
+    var_rates = np.array([cfg.replication_rate, cfg.crossover_rate, cfg.mutation_rate])
+    total = var_rates.sum()
     best_tree = None
     best_fit = np.inf
     history = np.zeros((cfg.generations, 2))
     for gen in range(cfg.generations):
-        fit = np.array([_fitness(t, X, y) for t in population])
+        fit = np.array([fitness(t) for t in population])
         order = sorted(range(cfg.population_size), key=lambda i: key(i, fit))
         leader = order[0]
         if fit[leader] < best_fit or (
@@ -305,12 +301,7 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[ExprTree, np.ndarray]:
         if gen == cfg.generations - 1:
             break
         next_pop = [population[i] for i in order[:n_elite]]
-        var_rates = np.array([cfg.replication_rate, cfg.crossover_rate, cfg.mutation_rate])
-        total = var_rates.sum()
         while len(next_pop) < cfg.population_size:
-            if total <= 0:  # pure-elitism config: pad with the elites in order
-                next_pop.append(population[order[len(next_pop) % cfg.population_size]])
-                continue
             u = rng.random() * total
             if u < var_rates[0]:
                 next_pop.append(tournament(fit))

@@ -234,7 +234,18 @@ class TestBadFilesAndArguments:
         ({"kind": "linear"}, "'basis'"),
         ({"kind": "gpr"}, "'kernel'"),
         ([1, 2], "JSON object"),
-    ], ids=["linear-without-basis", "gpr-without-kernel", "json-list"])
+        ({"kind": "gpr", "kernel": {"type": "gaussian", "gamma": "abc"},
+          "train_inputs": [[0.0]], "dual_coefficients": [[0.0]], "noise_variance": 0.1},
+         "'gamma'"),
+        ({"kind": "linear", "basis": {"type": "polynomial", "degree": "three"},
+          "weights": [0.0]}, "'degree'"),
+        # read digit by digit, "14" would be the valid sizes (1, 4) for these 8 params
+        ({"kind": "mlp", "layer_sizes": "14", "activations": ["identity"],
+          "params": [0.0] * 8}, "'layer_sizes'"),
+        ({"kind": "linear", "basis": {"type": "polynomial", "degree": 1},
+          "weights": [0.0, float("nan")]}, "'weights'"),
+    ], ids=["linear-without-basis", "gpr-without-kernel", "json-list", "gamma-string",
+            "degree-string", "layer-sizes-string", "weights-nan"])
     def test_bad_model_file(self, data_csv, tmp_path, capsys, doc, key):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
@@ -245,7 +256,13 @@ class TestBadFilesAndArguments:
         ({"domain": [0.0, 1.0]}, "'boundary'"),
         ({"domain": [0.0, 1.0], "a": "x",
           "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0}]}, "'a'"),
-    ], ids=["no-boundary", "coefficient-string"])
+        ({"domain": [0.0, 1.0], "n_collocation": "many",
+          "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0}]},
+         "'n_collocation'"),
+        ({"domain": [0.0, 1.0],
+          "boundary": [{"location": "left", "kind": "dirichlet", "value": 0.0}]},
+         "'location'"),
+    ], ids=["no-boundary", "coefficient-string", "n-collocation-string", "location-string"])
     def test_bad_problem_file(self, tmp_path, capsys, doc, key):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(doc))

@@ -114,6 +114,21 @@ class TestPenalized:
         assert losses.penalized(1.0, np.array([1.0, -2.0]), 0.5, "l1") == pytest.approx(2.5)
 
 
+def _check_prediction_gradient(spec, offsets):
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal(offsets.shape)
+    # the offsets keep every residual at least 1e-3 away from any branch kink
+    yh = y + offsets
+    g, _ = losses.loss_gradient(spec, y, yh)
+    h = 1e-7
+    for i in np.ndindex(y.shape):
+        yp, ym = yh.copy(), yh.copy()
+        yp[i] += h
+        ym[i] -= h
+        num = (losses.loss_value(spec, y, yp) - losses.loss_value(spec, y, ym)) / (2 * h)
+        assert abs(g[i] - num) / max(abs(num), 1e-10) < 1e-6
+
+
 class TestGradients:
     def test_mse_gradient_zero_at_minimum(self):
         y = np.ones((4, 2))
@@ -146,18 +161,14 @@ class TestGradients:
         ],
     )
     def test_prediction_gradient_matches_central_differences(self, spec):
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal(5)
-        # keep every residual at least 1e-3 away from any branch kink
-        yh = y + np.array([1.5, -2.0, 0.1, 0.2, -0.15])
-        g, _ = losses.loss_gradient(spec, y, yh)
-        h = 1e-7
-        for i in range(5):
-            yp, ym = yh.copy(), yh.copy()
-            yp[i] += h
-            ym[i] -= h
-            num = (losses.loss_value(spec, y, yp) - losses.loss_value(spec, y, ym)) / (2 * h)
-            assert abs(g[i] - num) / max(abs(num), 1e-10) < 1e-6
+        _check_prediction_gradient(spec, np.array([1.5, -2.0, 0.1, 0.2, -0.15]))
+
+    @pytest.mark.parametrize(
+        "spec", [losses.MSE(), losses.Huber(0.7), losses.EpsilonInsensitive(0.4)]
+    )
+    def test_multi_output_gradient_matches_central_differences(self, spec):
+        # rows are samples: every loss sums a row's entries and averages over rows
+        _check_prediction_gradient(spec, np.array([[1.5, -0.3], [-2.0, 0.9], [0.1, 0.2]]))
 
     def test_penalty_gradient_matches_central_differences(self):
         rng = np.random.default_rng(5)

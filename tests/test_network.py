@@ -2,16 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regfit import losses, network
 from regfit.errors import ValidationError
 
 
-def gradcheck_error(sizes, seed, loss=losses.MSE()):
+def gradcheck_error(sizes, seed, loss=losses.MSE(), activations=None):
     """Max-abs backprop error against central differences, relative to the
     gradient scale (entrywise ratios are dominated by difference-quotient
     roundoff on near-zero entries)."""
-    net = network.init_mlp(sizes, None, seed=seed)
+    net = network.init_mlp(sizes, activations, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     X = rng.standard_normal((8, sizes[0]))
     Y = rng.standard_normal((8, sizes[-1]))
@@ -147,6 +149,30 @@ class TestBackprop:
 
     def test_huber_loss_gradient(self):
         assert gradcheck_error([1, 4, 1], 3, losses.Huber(0.5)) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4), data=st.data(),
+           seed=st.integers(0, 2**16))
+    def test_matches_central_differences_on_random_architectures(self, sizes, data, seed):
+        acts = data.draw(st.lists(st.sampled_from(["tanh", "identity"]),
+                                  min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+        base = data.draw(st.sampled_from([losses.MSE(), losses.Huber(0.3), losses.Huber(2.0)]))
+        alpha = data.draw(st.sampled_from([0.0, 1e-3, 0.5]))
+        loss = losses.Penalized(base, alpha, "l2") if alpha else base
+        assert gradcheck_error(sizes, seed, loss, acts) < 1e-6
+
+    def test_runs_forward_once(self, monkeypatch):
+        calls = []
+        real_forward = network.forward
+
+        def counting_forward(net, X):
+            calls.append(1)
+            return real_forward(net, X)
+
+        monkeypatch.setattr(network, "forward", counting_forward)
+        net = network.init_mlp([2, 3, 1], seed=1)
+        network.backprop(net, np.ones((4, 2)), np.zeros((4, 1)), losses.MSE())
+        assert len(calls) == 1
 
     def test_loss_scaling_scales_gradient(self):
         # weighting by I/2 doubles the quadratic loss, hence the gradient

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regfit import linear, losses, optim
 from regfit.data import Dataset
@@ -64,6 +67,43 @@ def test_adam_step_bound_after_first_step():
         w_next, st = optim.step(st, w, g)
         assert np.max(np.abs(w_next - w)) <= 2 * st.eta
         w = w_next
+
+
+def _vectors(n, low=-1e3, high=1e3):
+    return arrays(np.float64, n, elements=st.floats(low, high))
+
+
+@st.composite
+def _step_args(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["gd", "momentum", "rmsprop", "adam"]))
+    eta = draw(st.floats(1e-4, 1.0))
+    if kind == "gd":
+        state = optim.GD(eta)
+    elif kind == "momentum":
+        state = optim.Momentum(eta, 0.9, draw(st.none() | _vectors(n)))
+    elif kind == "rmsprop":
+        state = optim.RMSProp(eta, 0.9, 1e-8, draw(st.none() | _vectors(n, 0.0)))
+    else:
+        state = optim.Adam(eta, m=draw(st.none() | _vectors(n)),
+                           s=draw(st.none() | _vectors(n, 0.0)), i=draw(st.integers(1, 50)))
+    return state, draw(_vectors(n)), draw(_vectors(n))
+
+
+def _buffers(state):
+    return [getattr(state, k) for k in ("m", "s") if getattr(state, k, None) is not None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_args())
+def test_step_never_mutates_its_arguments(args):
+    state, w, g = args
+    before = [a.tobytes() for a in [w, g, *_buffers(state)]]
+    w1, state1 = optim.step(state, w, g)
+    kept = [a.tobytes() for a in [w1, *_buffers(state1)]]
+    optim.step(state1, w1, g)  # a second step must leave the first step's results alone
+    assert [a.tobytes() for a in [w, g, *_buffers(state)]] == before
+    assert [a.tobytes() for a in [w1, *_buffers(state1)]] == kept
 
 
 def test_gd_monotone_on_stable_quadratic():

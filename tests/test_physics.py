@@ -327,6 +327,8 @@ def test_coefficient_specs_evaluate_whole_arrays():
     ("x", "coefficient 'a' must be a number or a JSON object"),
     ({"value": 1.0}, "coefficient 'a' is missing the key 'kind'"),
     ({"kind": "poly"}, "coefficient 'a' is missing the key 'coeffs'"),
+    (True, "coefficient 'a' must be a number or a JSON object"),
+    (float("inf"), "coefficient 'a' must be a finite number"),
 ])
 def test_coefficient_spec_errors_name_the_coefficient(spec, message):
     with pytest.raises(ValidationError, match=message):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,87 @@ def test_config_validation():
 
 def test_tree_validation():
     with pytest.raises(ValidationError):
-        symreg.ExprTree("add", (var(0),))  # arity violation
+        node("add", var(0))  # arity violation
     with pytest.raises(ValidationError):
         const(np.inf)
+
+
+def _pinned_dataset(n_inputs):
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2, 2, (40, n_inputs))
+    y = X[:, 0] ** 2 + X[:, -1] + 0.1 * np.sin(3 * X[:, 0])
+    return Dataset(X, y[:, None])
+
+
+# Best expression and sha256 of history.tobytes() for seeded runs; any change to
+# the RNG draw order, the operators or the tie-breaks shows up here.
+PINNED_RUNS = [
+    pytest.param(
+        1, dict(population_size=40, generations=8, seed=11),
+        "(add (sub (div (add (sub x0 -1.479339000913873) (add x0 x0)) (sub (cos x0) (add -3.8433962628024365 x0))) (add (cos (div 4.072551262567929 2.002440577845749)) (sin (add 1.8337473738215762 -3.5606976074907157)))) (sin (mul (sin (add x0 x0)) (div (sin -2.327424230373026) (sin x0)))))",
+        "5c1cd0e286481d860d9daa407c79b8464ad100d665ff27430f789211a059521d",
+        id="default",
+    ),
+    pytest.param(
+        1, dict(primitives=("add", "mul", "div", "exp", "var", "const"),
+                population_size=40, generations=8, seed=4),
+        "(add (div (exp x0) (div 2.481794848610833 x0)) (mul x0 (div x0 (div 2.481794848610833 1.2651439623943723))))",
+        "7a922e38ceb9c5ac12f3e155d05e482b332df1ed961c7b2de2bd402936c72740",
+        id="exp-div",
+    ),
+    pytest.param(
+        3, dict(population_size=40, generations=8, seed=5),
+        "(sub (cos (add -1.348660019083443 (sub (mul (div 2.123435665583097 -3.2318918584444023) (div x0 2.793858634726476)) (div (sub 1.487485297066221 -2.85348541796833) (sub x0 4.968717167833134))))) (sin (add -2.85348541796833 x2)))",
+        "b5ec4ba2d8f28fea564cb754f19eb7a11d62f0488fe0deb2bb38f9883b312700",
+        id="three-inputs",
+    ),
+    pytest.param(
+        1, dict(population_size=40, generations=8, max_depth=3, seed=6),
+        "(add (div (mul x0 x0) 0.9222156841090703) x0)",
+        "62d14169561cba57dfa3b65b6812af1347075efc116902a59fba63426c8db6a2",
+        id="max-depth-3",
+    ),
+    pytest.param(
+        1, dict(population_size=40, generations=8, tournament_size=1, seed=7),
+        "(sub (cos (add (sub (sub (cos 3.9654052371600077) 4.150947466679444) (div 2.9081379877052917 x0)) (sin x0))) -1.1020159611816283)",
+        "d20b2cacd8ddcbc129901dc53463fea81f8112e9e7f4191078f076815be46bdd",
+        id="tournament-1",
+    ),
+    pytest.param(
+        1, dict(primitives=("add", "mul", "var", "const"), population_size=30,
+                generations=6, elitism_rate=1.0, replication_rate=0.0, crossover_rate=0.0,
+                mutation_rate=0.0, seed=0),
+        "(mul x0 x0)",
+        "47103528e5f2ccfaece78667023cb73060b96d68f812685d9c5bd697f11dd966",
+        id="pure-elitism",
+    ),
+    pytest.param(
+        3, dict(primitives=("add", "sub", "mul", "div", "sin", "cos", "exp", "var", "const"),
+                population_size=50, generations=10, max_depth=5, tournament_size=3, seed=8),
+        "(add (cos 0.650279397645245) (add x2 (cos (sin (cos x0)))))",
+        "f7671d64b81c4681211022ddbd832e3435a8177a442784a0b5259c66bd78dd69",
+        id="all-prims-md5-t3",
+    ),
+]
+
+
+@pytest.mark.parametrize("n_inputs, config, prefix, history_sha256", PINNED_RUNS)
+def test_pinned_evolution(n_inputs, config, prefix, history_sha256):
+    best, history = symreg.evolve(_pinned_dataset(n_inputs), symreg.GPConfig(**config))
+    assert symreg.to_prefix(best) == prefix
+    assert hashlib.sha256(history.tobytes()).hexdigest() == history_sha256
+
+
+def test_evolve_evaluates_each_distinct_tree_once(monkeypatch):
+    evaluated = []
+    real_eval = symreg.eval_tree
+
+    def counting_eval(t, X):
+        evaluated.append(symreg.to_prefix(t))
+        return real_eval(t, X)
+
+    monkeypatch.setattr(symreg, "eval_tree", counting_eval)
+    cfg = symreg.GPConfig(population_size=40, generations=8, seed=11)
+    best, _ = symreg.evolve(_pinned_dataset(1), cfg)
+    assert len(evaluated) == len(set(evaluated))
+    assert symreg.to_prefix(best) in evaluated
