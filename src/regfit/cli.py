@@ -211,9 +211,13 @@ def _model_from_dict(doc):
     if kind == "linear_ensemble":
         what = "model 'linear_ensemble'"
         require_keys(doc, ("basis", "weight_population", "j_i_mean"), what)
-        as_number_array(doc["weight_population"], f"{what} key 'weight_population'")
+        W = as_number_array(doc["weight_population"], f"{what} key 'weight_population'")
         as_number(doc["j_i_mean"], f"{what} key 'j_i_mean'")
-        return linear.basis_from_dict(doc["basis"])
+        basis = linear.basis_from_dict(doc["basis"])
+        if W.ndim != 2 or W.shape[0] != basis.n_basis or W.shape[1] < 1:
+            raise ValidationError(f"{what} key 'weight_population' must be a "
+                                  f"{basis.n_basis} x n_E matrix with n_E >= 1")
+        return basis
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -226,13 +230,11 @@ def cmd_predict(args) -> int:
     if doc["kind"] == "gpr":
         y, var = model.predict_with_variance(Xs)
         unc = CONFIDENCE_FACTOR * np.sqrt(var)
-    elif doc["kind"] == "linear_ensemble":
-        W = np.asarray(doc["weight_population"])
-
-        def predict_member(xg, w):  # model is the ensemble's basis
-            return linear.LinearModel(model, w[:, None]).predict(xg)[:, 0]
-
-        y_mean, u = resampling.ensemble_predict(Xs, W, float(doc["j_i_mean"]), predict_member)
+    elif doc["kind"] == "linear_ensemble":  # model is the ensemble's basis
+        # one product per member, each bit-equal to that member's own predict
+        W = np.ascontiguousarray(np.asarray(doc["weight_population"], dtype=float).T)
+        y_pop = np.matmul(linear.feature_matrix(model, Xs)[None], W[:, :, None])
+        y_mean, u = resampling.bagged_band(y_pop[:, :, 0].T, float(doc["j_i_mean"]))
         y = y_mean[:, None]
         unc = CONFIDENCE_FACTOR * u
     else:
@@ -247,23 +249,12 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _fit_fn_for_basis(basis):
-    def fit(train: Dataset):
-        model = linear.ridge_fit(train, basis, 0.0)
-        return model.get_params(), model
-
-    return fit
-
-
 def cmd_cv(args) -> int:
     out = _outdir(args)
     d = load_csv(args.input)
     basis = _basis_from_args(args, d)
 
-    report = resampling.kfold_cv(
-        d, lambda train: linear.ridge_fit(train, basis, args.alpha),
-        args.folds, seed=args.seed, shuffle=True,
-    )
+    report = resampling.ridge_cv(d, basis, args.alpha, args.folds, seed=args.seed, shuffle=True)
     _write_csv(out / "folds.csv", ["fold", "J_o"],
                [(k, v) for k, v in enumerate(report.per_fold_mse)])
     _write_json(out / "summary.json", {
@@ -283,8 +274,8 @@ def cmd_bootstrap(args) -> int:
     if d.n_outputs != 1:
         raise ValidationError("bootstrap ensembles support a single target column")
     basis = _basis_from_args(args, d)
-    result = resampling.bootstrap_ensemble(
-        d, _fit_fn_for_basis(basis), args.members,
+    result = resampling.ridge_bootstrap(
+        d, basis, 0.0, args.members,
         test_fraction=args.test_fraction, mode=args.mode, seed=args.seed,
     )
     _write_csv(out / "members.csv", ["member", "J_i", "J_o"],

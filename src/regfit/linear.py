@@ -182,26 +182,38 @@ def basis_from_dict(doc: dict) -> BasisSpec:
     raise ValidationError(f"unknown basis type {doc['type']!r}")
 
 
-def model_param_jacobian(model: LinearModel, X) -> np.ndarray:
-    """d y_hat / d w for a linear model is the feature matrix itself."""
-    return feature_matrix(model.basis, X)
+class SingularStackError(NumericalError):
+    """A stacked ridge solve met a singular normal matrix; ``index`` is its
+    position in the stack."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (Phi^T Phi + alpha I) W = Phi^T Y for W via Cholesky."""
+    """Solve (Phi^T Phi + alpha I) W = Phi^T Y for W via Cholesky.
+
+    ``Phi`` may also be a stack, E x m x p with targets E x m (x n_y): each
+    slice is then solved with the arithmetic of a 2-D call, so its weights
+    are bit-identical to solving it alone. A stack warns once, with its
+    worst condition number, and a singular slice raises SingularStackError.
+    """
     if alpha < 0:
         raise ValidationError(f"ridge alpha must be nonnegative, got {alpha}")
     Phi = np.asarray(Phi, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Phi.shape[0] != Y.shape[0]:
-        raise ValidationError(f"row mismatch: {Phi.shape[0]} features vs {Y.shape[0]} targets")
-    A = Phi.T @ Phi + alpha * np.eye(Phi.shape[1])
+    if Y.ndim == Phi.ndim - 1:
+        Y = Y[..., None]
+    if Phi.shape[:-1] != Y.shape[:-1]:
+        raise ValidationError(f"row mismatch: {Phi.shape[-2]} features vs {Y.shape[-2]} targets")
+    PhiT = np.swapaxes(Phi, -1, -2)
+    A = PhiT @ Phi + alpha * np.eye(Phi.shape[-1])
     cond = np.linalg.cond(A)
-    if cond > CONDITION_WARN_THRESHOLD:
+    worst = np.max(cond)
+    if worst > CONDITION_WARN_THRESHOLD:
         warnings.warn(
-            f"normal matrix condition number {cond:.2e} exceeds "
+            f"normal matrix condition number {worst:.2e} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; weights may be inaccurate",
             RuntimeWarning,
             stacklevel=2,
@@ -209,11 +221,20 @@ def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     try:
         factor = cho_factor(A, lower=True)
     except LinAlgError as exc:
-        raise NumericalError(
-            f"normal matrix is singular at alpha={alpha} "
-            f"(condition estimate {cond:.2e})"
-        ) from exc
-    return cho_solve(factor, Phi.T @ Y)
+        message = "normal matrix is singular at alpha={} (condition estimate {:.2e})"
+        if A.ndim == 2:
+            raise NumericalError(message.format(alpha, cond)) from exc
+        index = next(i for i, a in enumerate(A) if not _positive_definite(a))
+        raise SingularStackError(message.format(alpha, cond[index]), index) from exc
+    return cho_solve(factor, PhiT @ Y)
+
+
+def _positive_definite(A: np.ndarray) -> bool:
+    try:
+        cho_factor(A, lower=True)
+    except LinAlgError:
+        return False
+    return True
 
 
 def ridge_fit(d: Dataset, basis: BasisSpec, alpha: float) -> LinearModel:

@@ -102,7 +102,10 @@ class MLP:
         sizes = as_number_array(doc["layer_sizes"], f"{what} 'layer_sizes'", vector=True)
         sizes = tuple(as_integer(n.item(), f"{what} 'layer_sizes' entry") for n in sizes)
         params = as_number_array(doc["params"], f"{what} 'params'")
-        return MLP(sizes, *_split_params(sizes, params), tuple(doc["activations"]))
+        acts = doc["activations"]
+        if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
+            raise ValidationError(f"{what} 'activations' must be a list of activation names")
+        return MLP(sizes, *_split_params(sizes, params), tuple(acts))
 
 
 def init_mlp(layer_sizes, activations=None, seed: int = 0) -> MLP:

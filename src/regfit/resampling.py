@@ -10,6 +10,16 @@ The bagged uncertainty at a point combines two independent contributions:
 the noise floor estimated from the mean in-sample error, and the population
 variance of the member predictions. Underfitting inflates the first term,
 overfitting the second.
+
+``bootstrap_ensemble``, ``kfold_cv`` and ``ensemble_predict`` refit and
+evaluate an arbitrary model one member at a time. For ridge regression,
+``ridge_bootstrap`` and ``ridge_cv`` build the feature matrix once, gather
+every member's own rows into a stack and fit all members with one stacked
+``linear.ridge_solve`` per block of members; they draw the same members
+and give bit-identical weights and errors. The CLI's ``bootstrap`` and
+``cv`` run them, and its ensemble ``predict`` feeds one stacked product per
+member to ``bagged_band``, so their artifacts have the same bytes as the
+one-member-at-a-time path.
 """
 
 from __future__ import annotations
@@ -18,11 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linear
 from .data import Dataset, split_indices
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .losses import mse
 
 _REDRAW_CAP = 100
+
+# Byte budget of one block's gathered feature rows. A member gathers at most
+# n_p rows on each side of its split, so a block of
+# _STACK_BYTES // (8 * n_p * n_basis) members (at least one) keeps each
+# stacked array under it whatever the member count. Members are solved slice
+# by slice, so where the block boundaries fall changes no bit of the results.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,11 @@ def _member_indices(n_points, test_fraction, mode, rng):
     """One member's (train, test) rows under the requested resampling mode."""
     if mode == "split":
         idx = split_indices(n_points, test_fraction, rng)
+        if not idx.test.size:
+            raise ValidationError(
+                f"test_fraction={test_fraction} leaves an empty test set in split mode "
+                f"for n={n_points}"
+            )
         return idx.train, idx.test
     if mode == "replacement":
         n_test = int(np.rint(test_fraction * n_points))
@@ -79,7 +102,7 @@ def _member_indices(n_points, test_fraction, mode, rng):
             raise ValidationError("test_fraction leaves an empty training set")
         for _ in range(_REDRAW_CAP):
             train = np.sort(rng.integers(0, n_points, size=n_train))
-            test = np.setdiff1d(np.arange(n_points), train)
+            test = np.flatnonzero(np.bincount(train, minlength=n_points) == 0)
             if test.size:
                 return train, test
         raise ValidationError(
@@ -119,24 +142,108 @@ def bootstrap_ensemble(
     return EnsembleResult(j_i, j_o, np.column_stack(columns))
 
 
-def ensemble_predict(xg, weight_population, j_i_mean: float, predict_fn):
-    """Bagged mean prediction and pointwise uncertainty.
+def ridge_bootstrap(
+    d: Dataset,
+    basis: linear.BasisSpec,
+    alpha: float,
+    n_members: int,
+    test_fraction: float = 0.3,
+    mode: str = "split",
+    seed: int = 0,
+) -> EnsembleResult:
+    """``bootstrap_ensemble`` of ``linear.ridge_fit(train, basis, alpha)``:
+    the same members and bit-identical weights and errors, from one feature
+    matrix and one stacked ridge solve per block of members."""
+    if n_members < 1:
+        raise ValidationError(f"need at least one member, got {n_members}")
+    draws = (_member_indices(d.n_points, test_fraction, mode, np.random.default_rng([seed, j]))
+             for j in range(n_members))
+    return _ridge_members(d, basis, alpha, n_members, draws, "bootstrap member")
 
-    ``predict_fn(xg, w) -> per-point predictions`` is called once per
-    population column; the uncertainty is sqrt(j_i_mean + Var_model) with
-    Var_model the population variance of the member predictions
-    (independence of the two contributions assumed).
+
+def _ridge_members(d: Dataset, basis, alpha: float, n_members: int, draws, what: str):
+    """Fit one ridge model per (train rows, test rows) pair of ``draws`` and
+    score it on both sides. Runs of consecutive members whose training sets
+    have one length are stacked, at most _STACK_BYTES of rows at a time."""
+    Phi, Y = linear.feature_matrix(basis, d.inputs), d.targets
+    n_rows, width = Phi.shape
+    step = max(1, _STACK_BYTES // (Phi.itemsize * n_rows * width))
+    W = np.empty((n_members, width, Y.shape[1]))
+    j_i, j_o = np.empty(n_members), np.empty(n_members)
+    first = 0
+    for block in _blocks(draws, step):
+        done = slice(first, first + len(block))
+        W[done], j_i[done], j_o[done] = _fit_block(Phi, Y, alpha, block, first, what)
+        first = done.stop
+    return EnsembleResult(j_i, j_o, W.reshape(n_members, -1).T)
+
+
+def _blocks(draws, step: int):
+    """Runs of at most ``step`` consecutive draws with one training-set length."""
+    block = []
+    for draw in draws:
+        if block and (len(block) == step or draw[0].size != block[0][0].size):
+            yield block
+            block = []
+        block.append(draw)
+    if block:
+        yield block
+
+
+def _fit_block(Phi, Y, alpha: float, block, first: int, what: str):
+    """Weights and in/out-of-sample MSE of the members first, first + 1, ...
+    of ``block``. Each member's operands keep the shapes a fit on its own
+    rows would see, so its results are bit-identical to that fit's."""
+    train = np.stack([tr for tr, _ in block])
+    G, Y_train = Phi[train], Y[train]
+    try:
+        W = linear.ridge_solve(G, Y_train, alpha)
+    except linear.SingularStackError as exc:
+        raise NumericalError(f"{what} {first + exc.index}: {exc}") from None
+    j_o = np.empty(len(block))
+    sizes = np.array([te.size for _, te in block])
+    for size in np.unique(sizes):  # replacement-mode test sets differ in size
+        same = np.flatnonzero(sizes == size)
+        test = np.stack([block[k][1] for k in same])
+        j_o[same] = _stacked_mse(Phi[test], W[same], Y[test])
+    return W, _stacked_mse(G, W, Y_train), j_o
+
+
+def _stacked_mse(G, W, Y):
+    """losses.mse of each member's predictions G[e] @ W[e] against Y[e]."""
+    e = G @ W - Y
+    return np.sum(e * e, axis=(1, 2)) / G.shape[1]
+
+
+def bagged_band(y_pop, j_i_mean: float):
+    """Bagged mean and pointwise uncertainty of a member population
+    ``y_pop`` (members along the last axis).
+
+    The uncertainty is sqrt(j_i_mean + Var_model) with Var_model the
+    population variance of the member predictions (independence of the two
+    contributions assumed).
     """
     if j_i_mean < 0:
         raise ValidationError(f"mean in-sample MSE must be nonnegative, got {j_i_mean}")
+    # The summation order of a reduction, and so its last bits, follow the
+    # memory layout: reduce along a contiguous last axis whatever the caller's.
+    y_pop = np.ascontiguousarray(y_pop, dtype=float)
+    y_mean = y_pop.mean(axis=-1)
+    var_model = y_pop.std(axis=-1) ** 2
+    return y_mean, np.sqrt(j_i_mean + var_model)
+
+
+def ensemble_predict(xg, weight_population, j_i_mean: float, predict_fn):
+    """Bagged mean prediction and pointwise uncertainty (``bagged_band``).
+
+    ``predict_fn(xg, w) -> per-point predictions`` is called once per
+    population column.
+    """
     W = np.asarray(weight_population, dtype=float)
     if W.ndim != 2 or W.shape[1] < 1:
         raise ValidationError("weight population must be a nonempty n_w x n_E matrix")
     members = [np.asarray(predict_fn(xg, W[:, j]), dtype=float) for j in range(W.shape[1])]
-    y_pop = np.stack(members, axis=-1)
-    y_mean = y_pop.mean(axis=-1)
-    var_model = y_pop.std(axis=-1) ** 2
-    return y_mean, np.sqrt(j_i_mean + var_model)
+    return bagged_band(np.stack(members, axis=-1), j_i_mean)
 
 
 def kfold_indices(n_points: int, n_folds: int, seed: int = 0, shuffle: bool = True):
@@ -163,4 +270,18 @@ def kfold_cv(d: Dataset, fit_fn, n_folds: int, seed: int = 0, shuffle: bool = Tr
         predictor = fit_fn(train)
         scores.append(mse(test.targets, predictor.predict(test.inputs)))
     scores = np.asarray(scores)
+    return CVReport(scores, float(scores.mean()), float(scores.std()))
+
+
+def ridge_cv(d: Dataset, basis: linear.BasisSpec, alpha: float, n_folds: int,
+             seed: int = 0, shuffle: bool = True) -> CVReport:
+    """``kfold_cv`` of ``linear.ridge_fit(train, basis, alpha)``: the same
+    folds and bit-identical scores, from one feature matrix and one stacked
+    ridge solve per run of equal-size folds."""
+    folds = kfold_indices(d.n_points, n_folds, seed, shuffle)
+    fold_of = np.empty(d.n_points, dtype=int)
+    for k, fold in enumerate(folds):
+        fold_of[fold] = k
+    draws = ((np.flatnonzero(fold_of != k), fold) for k, fold in enumerate(folds))
+    scores = _ridge_members(d, basis, alpha, n_folds, draws, "cv fold").out_sample_mse
     return CVReport(scores, float(scores.mean()), float(scores.std()))

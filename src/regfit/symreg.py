@@ -24,6 +24,7 @@ depth 0. Each run caches fitness per distinct tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -194,11 +195,12 @@ class GPConfig:
             raise ValidationError("generations, max_depth and tournament_size must be >= 1")
         object.__setattr__(self, "primitives", prims)
 
-    @property
+    # cached: random_tree reads both at every node it grows
+    @cached_property
     def functions(self) -> tuple:
         return tuple(p for p in self.primitives if ARITY[p] >= 1)
 
-    @property
+    @cached_property
     def terminals(self) -> tuple:
         return tuple(p for p in self.primitives if p in TERMINALS)
 

@@ -244,8 +244,14 @@ class TestBadFilesAndArguments:
           "params": [0.0] * 8}, "'layer_sizes'"),
         ({"kind": "linear", "basis": {"type": "polynomial", "degree": 1},
           "weights": [0.0, float("nan")]}, "'weights'"),
+        # read letter by letter, "i" would be one unknown activation
+        ({"kind": "mlp", "layer_sizes": [1, 1], "activations": "i",
+          "params": [0.0, 0.0]}, "'activations'"),
+        ({"kind": "linear_ensemble", "basis": {"type": "polynomial", "degree": 1},
+          "weight_population": [[0.0, 1.0]], "j_i_mean": 0.0}, "'weight_population'"),
     ], ids=["linear-without-basis", "gpr-without-kernel", "json-list", "gamma-string",
-            "degree-string", "layer-sizes-string", "weights-nan"])
+            "degree-string", "layer-sizes-string", "weights-nan", "activations-string",
+            "ensemble-rows-not-basis-size"])
     def test_bad_model_file(self, data_csv, tmp_path, capsys, doc, key):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
@@ -272,3 +278,60 @@ class TestBadFilesAndArguments:
     def test_non_integer_layer_size(self, data_csv, tmp_path, capsys):
         self._fails(["fit", "--input", data_csv, "--model", "mlp", "--layers", "1,a,1",
                      "--output", tmp_path / "o"], capsys, "--layers", "'1,a,1'")
+
+    def test_split_bootstrap_with_empty_test_set(self, data_csv, tmp_path, capsys):
+        self._fails(["bootstrap", "--input", data_csv, "--test-fraction", 0,
+                     "--output", tmp_path / "o"], capsys, "test_fraction=0.0", "split mode")
+        assert run(["bootstrap", "--input", data_csv, "--test-fraction", 0,
+                    "--mode", "replacement", "--output", tmp_path / "r"]) == 0
+
+
+def _one_nonzero_row_csv(tmp_path):
+    """Ten rows, x = 0 except in row 0: a line fit without row 0 is singular."""
+    path = tmp_path / "spike.csv"
+    ys = np.linspace(-1.0, 1.0, 10)
+    path.write_text("x0,y0\n" + "".join(f"{1.0 if i == 0 else 0.0},{y}\n"
+                                        for i, y in enumerate(ys)))
+    return path
+
+
+def test_singular_bootstrap_member_is_named(tmp_path, capsys):
+    first = next(j for j in range(100) if 0 not in resampling._member_indices(
+        10, 0.3, "split", np.random.default_rng([0, j]))[0])
+    assert first > 0
+    capsys.readouterr()
+    assert run(["bootstrap", "--input", _one_nonzero_row_csv(tmp_path), "--degree", 1,
+                "--seed", 0, "--output", tmp_path / "b"]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: bootstrap member {first}: normal matrix is singular" in err
+    assert "Traceback" not in err
+
+
+def test_singular_cv_fold_is_named(tmp_path, capsys):
+    folds = resampling.kfold_indices(10, 5, seed=42)
+    fold = next(k for k, rows in enumerate(folds) if 0 in rows)
+    capsys.readouterr()
+    assert run(["cv", "--input", _one_nonzero_row_csv(tmp_path), "--degree", 1,
+                "--output", tmp_path / "c"]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: cv fold {fold}: normal matrix is singular" in err
+    assert "Traceback" not in err
+
+
+def test_resampling_builds_features_once_and_solves_per_block(data_csv, tmp_path, monkeypatch):
+    calls = {"feature_matrix": 0, "ridge_solve": 0}
+    for name in calls:
+        original = getattr(linear, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linear, name, counted)
+    assert run(["bootstrap", "--input", data_csv, "--members", 50,
+                "--output", tmp_path / "b"]) == 0
+    assert calls == {"feature_matrix": 1, "ridge_solve": 1}
+    calls.update(feature_matrix=0, ridge_solve=0)
+    # 60 rows in 7 folds: training sets of 51 and 52 rows, one stack each
+    assert run(["cv", "--input", data_csv, "--folds", 7, "--output", tmp_path / "c"]) == 0
+    assert calls == {"feature_matrix": 1, "ridge_solve": 2}

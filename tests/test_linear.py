@@ -168,16 +168,16 @@ class TestPredictAndJacobian:
 
     def test_jacobian_is_feature_matrix(self):
         basis = linear.Polynomial(2)
-        m = linear.LinearModel(basis, np.zeros((3, 1)))
+        m = linear.LinearModel(basis, np.array([[0.2], [-0.4], [1.0]]))
         X = np.array([[0.3], [1.7]])
-        J = linear.model_param_jacobian(m, X)
-        np.testing.assert_array_equal(J, linear.feature_matrix(basis, X))
+        J = linear.feature_matrix(basis, X)
+        np.testing.assert_array_equal(m.predict(X), J @ m.weights)  # y_hat = J w
 
     def test_jacobian_matches_finite_differences(self):
         basis = linear.Polynomial(2)
         m = linear.LinearModel(basis, np.array([[0.2], [-0.4], [1.0]]))
         X = np.array([[0.7], [-1.1]])
-        J = linear.model_param_jacobian(m, X)
+        J = linear.feature_matrix(m.basis, X)
         h = 1e-6
         for j in range(3):
             wp, wm = m.get_params(), m.get_params()
@@ -189,7 +189,7 @@ class TestPredictAndJacobian:
     def test_jacobian_row_at_zero_input(self):
         basis = linear.Polynomial(2)
         m = linear.LinearModel(basis, np.zeros((3, 1)))
-        np.testing.assert_array_equal(linear.model_param_jacobian(m, [[0.0]]), [[0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(linear.feature_matrix(m.basis, [[0.0]]), [[0.0, 0.0, 1.0]])
 
 
 def test_serialization_reproduces_predictions_bit_identically():

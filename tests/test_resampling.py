@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,109 @@ class TestKFold:
 def test_cv_report_consistency_enforced():
     with pytest.raises(ValidationError):
         resampling.CVReport(np.array([1.0, 2.0]), mean=9.0, std=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the batched ridge path against the generic one it replaces in the CLI
+
+def _rbf(n_centers):
+    centers = np.linspace(-1, 1, n_centers)[:, None]
+    return linear.GaussianRBF(centers, linear.default_rbf_shapes(centers))
+
+
+BASES = {"poly-3": linear.Polynomial(3), "poly-6": linear.Polynomial(6), "rbf-8": _rbf(8)}
+
+
+def _ridge_fit_fn(basis, alpha):
+    def fit(train):
+        model = linear.ridge_fit(train, basis, alpha)
+        return model.get_params(), model
+
+    return fit
+
+
+@pytest.fixture(params=[False, True], ids=["one-block", "small-blocks"])
+def small_blocks(request, monkeypatch):
+    if request.param:  # 3 to 6 members per block on 60 rows, fewer than the member count
+        monkeypatch.setattr(resampling, "_STACK_BYTES", 3 * 8 * 60 * 8)
+
+
+@pytest.mark.parametrize("basis", BASES.values(), ids=BASES.keys())
+@pytest.mark.parametrize("mode, test_fraction", [("split", 0.3), ("replacement", 0.0)])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_ridge_bootstrap_equals_generic(basis, mode, test_fraction, alpha, small_blocks):
+    d = _noisy_data(60, seed=7)
+    got = resampling.ridge_bootstrap(d, basis, alpha, 25, test_fraction, mode, seed=3)
+    ref = resampling.bootstrap_ensemble(d, _ridge_fit_fn(basis, alpha), 25,
+                                        test_fraction, mode, seed=3)
+    np.testing.assert_array_equal(got.weight_population, ref.weight_population)
+    np.testing.assert_array_equal(got.in_sample_mse, ref.in_sample_mse)
+    np.testing.assert_array_equal(got.out_sample_mse, ref.out_sample_mse)
+
+
+@pytest.mark.parametrize("n_folds", [60, 12, 7], ids=["leave-one-out", "k-divides-n",
+                                                      "k-does-not-divide-n"])
+@pytest.mark.parametrize("basis", BASES.values(), ids=BASES.keys())
+def test_ridge_cv_equals_generic(n_folds, basis, small_blocks):
+    d = _noisy_data(60, seed=8)
+    got = resampling.ridge_cv(d, basis, 0.01, n_folds, seed=5)
+    ref = resampling.kfold_cv(d, lambda t: linear.ridge_fit(t, basis, 0.01), n_folds, seed=5)
+    np.testing.assert_array_equal(got.per_fold_mse, ref.per_fold_mse)
+    assert (got.mean, got.std) == (ref.mean, ref.std)
+
+
+def test_bagged_band_of_stacked_population_equals_ensemble_predict():
+    basis = BASES["poly-3"]
+    W = np.random.default_rng(9).standard_normal((4, 30))
+    xg = np.linspace(-1.5, 1.5, 41)[:, None]
+
+    def member(x, w):
+        return linear.LinearModel(basis, w[:, None]).predict(x)[:, 0]
+
+    y_pop = np.matmul(linear.feature_matrix(basis, xg)[None], np.ascontiguousarray(W.T)[:, :, None])
+    got = resampling.bagged_band(y_pop[:, :, 0].T, 0.04)
+    ref = resampling.ensemble_predict(xg, W, 0.04, member)
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+
+
+def test_ill_conditioned_members_warn_once():
+    # x within 1e-6 of 1: the columns of a line basis are nearly collinear
+    rng = np.random.default_rng(10)
+    x = 1.0 + 1e-6 * rng.uniform(-1, 1, (40, 1))
+    d = Dataset(x, rng.standard_normal((40, 1)))
+    basis = linear.Polynomial(1)
+    with pytest.warns(RuntimeWarning, match="condition number") as generic:
+        resampling.bootstrap_ensemble(d, _ridge_fit_fn(basis, 0.0), 10, seed=0)
+    with pytest.warns(RuntimeWarning, match="condition number") as batched:
+        resampling.ridge_bootstrap(d, basis, 0.0, 10, seed=0)
+    assert len(generic) == 10 and len(batched) == 1
+
+
+def test_split_mode_with_empty_test_set_is_refused():
+    d = _noisy_data(20)
+    for run in (lambda: resampling.ridge_bootstrap(d, linear.Polynomial(1), 0.0, 3,
+                                                    test_fraction=0.0),
+                lambda: resampling.bootstrap_ensemble(d, _line_fit, 3, test_fraction=0.0)):
+        with pytest.raises(ValidationError, match="test_fraction=0.0 .* split mode"):
+            run()
+
+
+def test_ridge_bootstrap_memory_is_bounded_by_blocks():
+    """200 members of 14,000 training rows on 40 RBF centers would gather
+    about 0.9 GB of rows in one stack. In blocks the peak is the 6.4 MB
+    feature matrix, its build temporaries and one block's rows (here one
+    member's, 6.4 MB on both sides of its split): about 13 MB."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2, 2, (20_000, 1))
+    d = Dataset(x, np.sin(x) + 0.1 * rng.standard_normal(x.shape))
+    centers = np.linspace(-2, 2, 40)[:, None]
+    basis = linear.GaussianRBF(centers, linear.default_rbf_shapes(centers))
+    tracemalloc.start()
+    try:
+        result = resampling.ridge_bootstrap(d, basis, 1e-6, 200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_members == 200
+    assert peak < 32 * 2**20
