@@ -4,7 +4,8 @@ All randomness flows from the single --seed flag (default 42), every report
 embeds the seed, and repeated runs with identical flags produce
 byte-identical artifacts. Reports are JSON with a schema_version field;
 data tables are CSV. Exit codes: 0 success, 1 validation error, 2
-numerical failure.
+numerical failure (a diverged ``fit --model mlp`` among them: no model is
+written).
 
 Wall-clock timing is reported only when --with-timing is passed (the field
 is null otherwise) so that default outputs stay reproducible.
@@ -157,6 +158,10 @@ def cmd_fit(args) -> int:
                                     shuffle_seed=args.seed)
         model, history = optim.minibatch_train(net, fit_data, loss,
                                                _optimizer_from_args(args), sched)
+        if history.size < args.epochs:  # training stopped at a non-finite loss or gradient
+            raise NumericalError(f"training diverged in epoch {history.size + 1} of "
+                                 f"{args.epochs}: the loss or its gradient is no longer "
+                                 "finite; no model written")
         final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs),
                                        model.get_params())
     else:
@@ -231,10 +236,9 @@ def cmd_predict(args) -> int:
         y, var = model.predict_with_variance(Xs)
         unc = CONFIDENCE_FACTOR * np.sqrt(var)
     elif doc["kind"] == "linear_ensemble":  # model is the ensemble's basis
-        # one product per member, each bit-equal to that member's own predict
-        W = np.ascontiguousarray(np.asarray(doc["weight_population"], dtype=float).T)
-        y_pop = np.matmul(linear.feature_matrix(model, Xs)[None], W[:, :, None])
-        y_mean, u = resampling.bagged_band(y_pop[:, :, 0].T, float(doc["j_i_mean"]))
+        y_pop = resampling.member_predictions(linear.feature_matrix(model, Xs),
+                                              doc["weight_population"])
+        y_mean, u = resampling.bagged_band(y_pop, float(doc["j_i_mean"]))
         y = y_mean[:, None]
         unc = CONFIDENCE_FACTOR * u
     else:

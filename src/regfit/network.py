@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, as_integer, as_number_array, require_keys
-from .losses import EpsilonInsensitive, LossSpec, Penalized, loss_gradient
+from .losses import EpsilonInsensitive, LossSpec, Penalized, loss_gradient, loss_value
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
@@ -26,15 +26,28 @@ def activation(kind: str, z):
 
     relu's derivative at exactly 0 is defined as 0.
     """
-    z = np.asarray(z, dtype=float)
+    if kind not in ACTIVATIONS:
+        raise ValidationError(f"unknown activation {kind!r}")
+    y = _activation_value(kind, np.asarray(z, dtype=float))
+    return y, _activation_derivative(kind, y)
+
+
+def _activation_value(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "tanh":
-        t = np.tanh(z)
-        return t, 1.0 - t * t
+        return np.tanh(z)
     if kind == "relu":
-        return np.maximum(z, 0.0), np.where(z > 0.0, 1.0, 0.0)
-    if kind == "identity":
-        return z, np.ones_like(z)
-    raise ValidationError(f"unknown activation {kind!r}")
+        return np.maximum(z, 0.0)
+    return z
+
+
+def _activation_derivative(kind: str, y: np.ndarray) -> np.ndarray:
+    """The derivative at z, from the value y = a(z): 1 - y^2 for tanh,
+    [y > 0] for relu (y > 0 exactly when z > 0)."""
+    if kind == "tanh":
+        return 1.0 - y * y
+    if kind == "relu":
+        return np.where(y > 0.0, 1.0, 0.0)
+    return np.ones_like(y)
 
 
 @dataclass(frozen=True)
@@ -155,49 +168,63 @@ def unflatten_params(net: MLP, w) -> MLP:
     return MLP(net.layer_sizes, *_split_params(net.layer_sizes, w), net.activations)
 
 
-def forward(net: MLP, X) -> tuple[np.ndarray, list]:
-    """Run the recursion on a batch; also return the per-layer caches
-    [(z(l), y(l)) for l = 2..L] needed by backprop."""
+def _check_width(sizes, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != net.layer_sizes[0]:
-        raise ValidationError(
-            f"input width {X.shape[1]} does not match first layer ({net.layer_sizes[0]})"
-        )
-    caches = []
-    y = X
-    for W, b, act in zip(net.weights, net.biases, net.activations):
-        z = y @ W.T + b
-        y, _ = activation(act, z)
-        caches.append((z, y))
-    return y, caches
+    if X.shape[1] != sizes[0]:
+        raise ValidationError(f"input width {X.shape[1]} does not match first layer ({sizes[0]})")
+    return X
+
+
+def forward(net: MLP, X) -> tuple[np.ndarray, list]:
+    """Run the recursion on a batch; also return the layer outputs
+    [y(1) = X, y(2), ..., y(L)] that the backward sweep reads."""
+    ys = _forward_values(net.weights, net.biases, net.activations,
+                         _check_width(net.layer_sizes, X))
+    return ys[-1], ys
+
+
+def _forward_values(Ws, bs, acts, X) -> list:
+    """The forward sweep on raw layer arrays, values only: [X, y(2), ..., y(L)]."""
+    ys = [X]
+    for W, b, act in zip(Ws, bs, acts):
+        ys.append(_activation_value(act, ys[-1] @ W.T + b))
+    return ys
+
+
+def _backward(Ws, acts, ys: list, out_grad) -> np.ndarray:
+    """Reverse-mode sweep over the layer outputs of ``_forward_values``: the
+    flat-parameter gradient of sum(out_grad * y(L))."""
+    G = np.asarray(out_grad, dtype=float).reshape(ys[0].shape[0], Ws[-1].shape[0])
+    grads = [None] * len(Ws)
+    for i in range(len(Ws) - 1, -1, -1):
+        D = G * _activation_derivative(acts[i], ys[i + 1])
+        grads[i] = np.concatenate([(D.T @ ys[i]).ravel(), D.sum(axis=0)])
+        if i > 0:
+            G = D @ Ws[i]
+    return np.concatenate(grads)
+
+
+def _loss_backward(Ws, acts, ys: list, y_true, loss: LossSpec, w) -> np.ndarray:
+    """Gradient, with respect to the flat parameters w, of the loss of the
+    outputs ``ys`` that ``_forward_values`` computed at w."""
+    out_grad, grad_w = loss_gradient(loss, y_true, ys[-1], w)
+    grad = _backward(Ws, acts, ys, out_grad)
+    if grad_w is not None:
+        grad = grad + grad_w
+    return grad
+
+
+def _check_differentiable(loss: LossSpec) -> None:
+    base = loss.base if isinstance(loss, Penalized) else loss
+    if isinstance(base, EpsilonInsensitive):
+        raise ValidationError("epsilon-insensitive loss is not differentiable enough for backprop")
 
 
 def backprop_from_output_grad(net: MLP, X, out_grad) -> np.ndarray:
     """Reverse-mode gradient of sum(out_grad * output) with respect to the
     flat parameter vector; ``out_grad`` is dJ/d(output), shaped like the
     network output for the batch X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _backward(net, X, forward(net, X)[1], out_grad)
-
-
-def _backward(net: MLP, X: np.ndarray, caches: list, out_grad) -> np.ndarray:
-    """The backward sweep of ``backprop_from_output_grad`` over the caches
-    that ``forward(net, X)`` returned."""
-    G = np.asarray(out_grad, dtype=float).reshape(X.shape[0], net.layer_sizes[-1])
-    grads_W = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    for i in range(len(net.weights) - 1, -1, -1):
-        z, _ = caches[i]
-        _, dact = activation(net.activations[i], z)
-        D = G * dact
-        y_prev = X if i == 0 else caches[i - 1][1]
-        grads_W[i] = D.T @ y_prev
-        grads_b[i] = D.sum(axis=0)
-        if i > 0:
-            G = D @ net.weights[i]
-    return np.concatenate(
-        [np.concatenate([gW.ravel(), gb]) for gW, gb in zip(grads_W, grads_b)]
-    )
+    return _backward(net.weights, net.activations, forward(net, X)[1], out_grad)
 
 
 def backprop(net: MLP, X, y_true, loss: LossSpec) -> np.ndarray:
@@ -206,13 +233,28 @@ def backprop(net: MLP, X, y_true, loss: LossSpec) -> np.ndarray:
     The loss must be differentiable in the predictions: the
     epsilon-insensitive variant is refused.
     """
-    base = loss.base if isinstance(loss, Penalized) else loss
-    if isinstance(base, EpsilonInsensitive):
-        raise ValidationError("epsilon-insensitive loss is not differentiable enough for backprop")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    out, caches = forward(net, X)
-    out_grad, grad_w = loss_gradient(loss, y_true, out, flatten_params(net))
-    grad = _backward(net, X, caches, out_grad)
-    if grad_w is not None:
-        grad = grad + grad_w
-    return grad
+    _check_differentiable(loss)
+    ys = forward(net, X)[1]
+    return _loss_backward(net.weights, net.activations, ys, y_true, loss, flatten_params(net))
+
+
+def flat_objective(net: MLP, X, Y, loss: LossSpec):
+    """The training objective of a network of net's shape as functions of
+    its flat parameters w: ``grad(w, rows)``, the ``backprop`` gradient of
+    the loss on rows ``rows`` of (X, Y), and ``cost(w)``, the loss on all
+    rows. Both run on the layer arrays that ``_split_params`` slices from w,
+    without building a network; the loss and the input width are checked
+    once, here."""
+    _check_differentiable(loss)
+    X = _check_width(net.layer_sizes, X)
+    sizes, acts = net.layer_sizes, net.activations
+
+    def grad(w, rows):
+        Ws, bs = _split_params(sizes, w)
+        return _loss_backward(Ws, acts, _forward_values(Ws, bs, acts, X[rows]), Y[rows], loss, w)
+
+    def cost(w):
+        Ws, bs = _split_params(sizes, w)
+        return loss_value(loss, Y, _forward_values(Ws, bs, acts, X)[-1], w)
+
+    return grad, cost

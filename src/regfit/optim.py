@@ -1,7 +1,15 @@
-"""First-order update rules and the mini-batch training loop.
+"""First-order update rules and the one training loop.
 
 All rules are element-wise. ``step`` is functional: it returns the new
 parameter vector and a new optimizer state, leaving its arguments alone.
+
+``train`` is the training loop of both ``minibatch_train`` and
+``physics.pinn_train``. It works on a flat parameter vector through a
+gradient function and a cost function of that vector, and returns a
+``TrainResult``. A non-finite gradient or epoch cost aborts it: the result
+then holds the last parameters whose cost was finite, a history shorter
+than the schedule and the epoch of the abort; numpy's overflow and
+invalid-value warnings on the way there are suppressed.
 
 Update rules (g is the gradient of the cost at w):
 
@@ -28,7 +36,7 @@ from .data import Dataset, TrainablePredictor
 from .errors import ValidationError
 from .linear import LinearModel, feature_matrix
 from .losses import LossSpec, loss_gradient, loss_value
-from .network import MLP, backprop
+from .network import MLP, backprop, flat_objective
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,52 @@ def model_gradient(model: TrainablePredictor, X, Y, loss: LossSpec) -> np.ndarra
     raise ValidationError(f"no gradient rule for model {type(model).__name__}")
 
 
+@dataclass(frozen=True)
+class TrainResult:
+    """Final (or last finite) parameters, per-epoch costs, the epoch that
+    aborted (None if none did) and the number of steps taken."""
+
+    w: np.ndarray
+    history: np.ndarray
+    aborted_at_epoch: int | None
+    steps: int
+
+
+def train(w0, grad_fn, cost_fn, opt: OptimizerState, sched: BatchSchedule,
+          n_rows: int) -> TrainResult:
+    """Epoch-based training of flat parameters from w0.
+
+    An epoch walks the ``n_rows`` rows in a seeded random order, one
+    ``step`` on ``grad_fn(w, rows)`` per batch (the last may be short), or
+    takes one step on ``grad_fn(w, None)`` if ``n_rows`` is 0; it ends by
+    recording ``cost_fn(w)``. A non-finite gradient or cost aborts at that
+    epoch with the last parameters whose cost was finite (w0 if none was).
+    """
+    rng = np.random.default_rng(sched.shuffle_seed)
+    w = last_finite = np.asarray(w0, dtype=float)
+    history, steps = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled below
+        for epoch in range(sched.epochs):
+            if n_rows:
+                perm = rng.permutation(n_rows)
+                batches = [perm[s : s + sched.batch_size]
+                           for s in range(0, n_rows, sched.batch_size)]
+            else:
+                batches = [None]
+            for rows in batches:
+                g = grad_fn(w, rows)
+                if not np.isfinite(g).all():
+                    return TrainResult(last_finite, np.asarray(history), epoch, steps)
+                w, opt = step(opt, w, g)
+                steps += 1
+            j = cost_fn(w)
+            if not np.isfinite(j):
+                return TrainResult(last_finite, np.asarray(history), epoch, steps)
+            last_finite = w
+            history.append(j)
+    return TrainResult(w, np.asarray(history), None, steps)
+
+
 def minibatch_train(
     model: TrainablePredictor,
     d: Dataset,
@@ -178,38 +232,27 @@ def minibatch_train(
     sched: BatchSchedule,
     grad_fn=None,
 ) -> tuple[TrainablePredictor, np.ndarray]:
-    """Epoch-based mini-batch training; returns (model, per-epoch loss history).
-
-    Each epoch shuffles the rows (seeded), walks ceil(n_p / batch) batches
-    (the last may be short) with one optimizer step per batch, then records
-    the full-dataset loss. Training aborts with the last finite model if the
-    loss ever turns non-finite. Deterministic given the schedule seed.
+    """Mini-batch training with ``train``; returns (model, per-epoch loss
+    history). An
+    aborted run returns the last finite model and a history shorter than
+    the schedule's epochs.
 
     ``grad_fn(model, X_batch, Y_batch) -> flat gradient`` defaults to
-    ``model_gradient`` with the given loss.
+    ``model_gradient`` with the given loss. A network without one trains on
+    its flat parameters (``network.flat_objective``) and is built once, at
+    the end; other models are rebuilt for every call.
     """
     if sched.batch_size > d.n_points:
         raise ValidationError(
             f"batch size {sched.batch_size} exceeds dataset size {d.n_points}"
         )
-    if grad_fn is None:
-        grad_fn = lambda m, Xb, Yb: model_gradient(m, Xb, Yb, loss)
-    rng = np.random.default_rng(sched.shuffle_seed)
     X, Y = d.inputs, d.targets
-    history = []
-    last_finite = model
-    for _ in range(sched.epochs):
-        perm = rng.permutation(d.n_points)
-        w = model.get_params()
-        for start in range(0, d.n_points, sched.batch_size):
-            batch = perm[start : start + sched.batch_size]
-            g = grad_fn(model, X[batch], Y[batch])
-            w, opt = step(opt, w, g)
-            model = model.with_params(w)
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled below
-            j = loss_value(loss, Y, model.predict(X), model.get_params())
-        if not np.isfinite(j):
-            return last_finite, np.asarray(history)
-        last_finite = model
-        history.append(j)
-    return model, np.asarray(history)
+    if grad_fn is None and isinstance(model, MLP):
+        grad, cost = flat_objective(model, X, Y, loss)
+    else:
+        if grad_fn is None:
+            grad_fn = lambda m, Xb, Yb: model_gradient(m, Xb, Yb, loss)
+        grad = lambda w, rows: grad_fn(model.with_params(w), X[rows], Y[rows])
+        cost = lambda w: loss_value(loss, Y, model.with_params(w).predict(X), w)
+    result = train(model.get_params(), grad, cost, opt, sched, d.n_points)
+    return model.with_params(result.w), result.history

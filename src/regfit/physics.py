@@ -38,8 +38,10 @@ from .errors import (
 )
 from .linear import BasisSpec, GaussianRBF, LinearModel, Polynomial, feature_matrix, ridge_solve
 from .losses import MSE, LossSpec
-from .network import MLP, backprop, backprop_from_output_grad, flatten_params, forward
-from .optim import BatchSchedule, OptimizerState, step
+from .network import (
+    MLP, _backward, _forward_values, _split_params, flat_objective, flatten_params, forward,
+)
+from .optim import BatchSchedule, OptimizerState, train
 
 # hard-constraint satisfaction tolerance (relative) and the jitter tried on
 # a numerically singular KKT block
@@ -327,58 +329,92 @@ def constrained_solve(
     return ConstrainedSolution(w, lam, bc_defect)
 
 
-def _network_physics_terms(net: MLP, problem: CollocationProblem, alpha_phys, fd_step):
-    """Physics cost of the network and the matching output-gradient batch.
-
-    Returns (cost, eval_points, dcost/du at those points); derivatives of
-    the network along its input use central differences with step fd_step.
-    """
-    if problem.collocation_points is not None:
-        x_c = problem.collocation_points
-    else:
-        # no explicit points: a fixed default independent of any basis
-        lo, hi = problem.domain
-        x_c = np.linspace(lo, hi, 34)[1:-1]
+def _stencil(problem: CollocationProblem, fd_step, alpha_phys):
+    """The evaluation points X (x_c - h, x_c, x_c + h at the interior
+    points x_c, then the Dirichlet points, then a pair x -+ h per Neumann
+    point) and ``terms(u)``: alpha_phys times the physics cost of the
+    network outputs u at X and its gradient in u."""
+    x_c = problem.interior_points(16)  # without explicit points: 32, whatever the net
     h = fd_step
     a, b, c, g = _coeffs_at(problem, x_c)
-    pts = [x_c - h, x_c, x_c + h]
     n_c = x_c.size
-    neumann = [bc for bc in problem.boundary if bc.kind == "neumann"]
+    # d r / d u on the rows x_c - h, x_c, x_c + h of r = a u'' + b u' + c u - g
+    dr_du = (a / (h * h) - b / (2.0 * h), -2.0 * a / (h * h) + c, a / (h * h) + b / (2.0 * h))
     dirichlet = [bc for bc in problem.boundary if bc.kind == "dirichlet"]
-    for bc in dirichlet:
-        pts.append(np.array([bc.location]))
-    for bc in neumann:
-        pts.append(np.array([bc.location - h, bc.location + h]))
-    X = np.concatenate(pts)[:, None]
-    u = forward(net, X)[0][:, 0]
-    u_minus, u_0, u_plus = u[:n_c], u[n_c : 2 * n_c], u[2 * n_c : 3 * n_c]
-    du = (u_plus - u_minus) / (2.0 * h)
-    ddu = (u_plus - 2.0 * u_0 + u_minus) / (h * h)
-    r = a * ddu + b * du + c * u_0 - g
-    cost = float(np.sum(r * r) / n_c)
-    G = np.zeros_like(u)
-    dr = 2.0 * r / n_c
-    G[:n_c] = dr * (a / (h * h) - b / (2.0 * h))
-    G[n_c : 2 * n_c] = dr * (-2.0 * a / (h * h) + c)
-    G[2 * n_c : 3 * n_c] = dr * (a / (h * h) + b / (2.0 * h))
-    pos = 3 * n_c
-    for bc in dirichlet:
-        rb = u[pos] - bc.value
-        cost += rb * rb
-        G[pos] = 2.0 * rb
-        pos += 1
-    for bc in neumann:
-        rb = (u[pos + 1] - u[pos]) / (2.0 * h) - bc.value
-        cost += rb * rb
-        G[pos] = -2.0 * rb / (2.0 * h)
-        G[pos + 1] = 2.0 * rb / (2.0 * h)
-        pos += 2
-    return alpha_phys * cost, X, alpha_phys * G[:, None]
+    neumann = [bc for bc in problem.boundary if bc.kind == "neumann"]
+    pts = [x_c - h, x_c, x_c + h]
+    pts += [np.array([bc.location]) for bc in dirichlet]
+    pts += [np.array([bc.location - h, bc.location + h]) for bc in neumann]
+
+    def terms(u):
+        u_minus, u_0, u_plus = u[:n_c], u[n_c : 2 * n_c], u[2 * n_c : 3 * n_c]
+        du = (u_plus - u_minus) / (2.0 * h)
+        ddu = (u_plus - 2.0 * u_0 + u_minus) / (h * h)
+        r = a * ddu + b * du + c * u_0 - g
+        cost = float(np.sum(r * r) / n_c)
+        G = np.zeros_like(u)
+        dr = 2.0 * r / n_c
+        for k, coeff in enumerate(dr_du):
+            G[k * n_c : (k + 1) * n_c] = dr * coeff
+        pos = 3 * n_c
+        for bc in dirichlet:
+            rb = u[pos] - bc.value
+            cost += rb * rb
+            G[pos] = 2.0 * rb
+            pos += 1
+        for bc in neumann:
+            rb = (u[pos + 1] - u[pos]) / (2.0 * h) - bc.value
+            cost += rb * rb
+            G[pos] = -2.0 * rb / (2.0 * h)
+            G[pos + 1] = 2.0 * rb / (2.0 * h)
+            pos += 2
+        return alpha_phys * cost, alpha_phys * G[:, None]
+
+    return np.concatenate(pts)[:, None], terms
+
+
+def _pinn_objective(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step):
+    """``grad(w, rows)`` (data term on the rows, if any, then physics) and
+    ``cost(w)`` of the network of net's shape with flat parameters w. The
+    physics pass is kept for the last w it ran on (``train`` changes no
+    parameter array in place)."""
+    if net.layer_sizes[0] != 1 or net.layer_sizes[-1] != 1:
+        raise ValidationError(f"a PINN network maps 1 input to 1 output, not {net.layer_sizes}")
+    sizes, acts = net.layer_sizes, net.activations
+    X, terms = _stencil(problem, fd_step, alpha_phys)
+    if data is not None:
+        data_grad, data_cost = flat_objective(net, data.inputs, data.targets, MSE())
+    last = [None, None]
+
+    def physics(w):
+        if last[0] is not w:
+            Ws, bs = _split_params(sizes, w)
+            ys = _forward_values(Ws, bs, acts, X)
+            last[:] = w, (Ws, ys, *terms(ys[-1][:, 0]))
+        return last[1]
+
+    def grad(w, rows):
+        g = np.zeros_like(w)
+        if rows is not None:
+            g += data_grad(w, rows)
+        if alpha_phys > 0:
+            Ws, ys, _, G = physics(w)
+            g += _backward(Ws, acts, ys, G)
+        return g
+
+    def cost(w):
+        j = physics(w)[2]
+        return j + data_cost(w) if data is not None else j
+
+    return grad, cost
 
 
 def pinn_cost(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step=1e-3) -> float:
-    """Combined data + physics cost of a network (monitoring helper)."""
-    cost, _, _ = _network_physics_terms(net, problem, alpha_phys, fd_step)
+    """Combined data + physics cost of a network (monitoring helper). It runs
+    the network's own ``forward``, not the training sweeps, so that tests
+    can hold the training gradient against it."""
+    X, terms = _stencil(problem, fd_step, alpha_phys)
+    cost = terms(forward(net, X)[0][:, 0])[0]
     if data is not None:
         e = forward(net, data.inputs)[0] - data.targets
         cost += float(np.sum(e * e) / data.n_points)
@@ -402,42 +438,22 @@ def pinn_train(
     boundary defects appended as extra penalty rows. Gradients flow through
     every finite-difference stencil evaluation by backprop.
 
-    With data, each epoch walks seeded mini-batches of the data rows (the
-    physics gradient is recomputed in full at every step); without data,
-    each epoch is one full physics step. The per-epoch combined cost is
-    recorded; training aborts with the last finite state on divergence.
+    ``optim.train`` runs on the flat parameters: with data, each epoch walks
+    seeded mini-batches of the data rows (the physics gradient is
+    recomputed in full at every step); without data, each epoch is one full
+    physics step. The stencil (points, coefficients, split boundary
+    conditions) is prepared once, and the physics forward pass runs once
+    per distinct weight vector, so the cost that ends an epoch also serves
+    the next step's gradient. The per-epoch combined cost is recorded;
+    training aborts with the last finite state on divergence.
     """
     _check_scalar_targets(data)
     if alpha_phys < 0:
         raise ValidationError(f"alpha_phys must be nonnegative, got {alpha_phys}")
-    rng = np.random.default_rng(sched.shuffle_seed)
-    history = []
-    last_finite = net
-    for _ in range(sched.epochs):
-        if data is not None:
-            perm = rng.permutation(data.n_points)
-            batches = [
-                perm[s : s + sched.batch_size]
-                for s in range(0, data.n_points, sched.batch_size)
-            ]
-        else:
-            batches = [None]
-        w = flatten_params(net)
-        for batch in batches:
-            grad = np.zeros_like(w)
-            if batch is not None:
-                grad += backprop(net, data.inputs[batch], data.targets[batch], MSE())
-            if alpha_phys > 0:
-                _, X_points, G = _network_physics_terms(net, problem, alpha_phys, fd_step)
-                grad += backprop_from_output_grad(net, X_points, G)
-            w, opt = step(opt, w, grad)
-            net = net.with_params(w)
-        j = pinn_cost(net, problem, data, alpha_phys, fd_step)
-        if not np.isfinite(j):
-            return last_finite, np.asarray(history)
-        last_finite = net
-        history.append(j)
-    return net, np.asarray(history)
+    grad, cost = _pinn_objective(net, problem, data, alpha_phys, fd_step)
+    n_rows = data.n_points if data is not None else 0
+    result = train(flatten_params(net), grad, cost, opt, sched, n_rows)
+    return net.with_params(result.w), result.history
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ evaluate an arbitrary model one member at a time. For ridge regression,
 every member's own rows into a stack and fit all members with one stacked
 ``linear.ridge_solve`` per block of members; they draw the same members
 and give bit-identical weights and errors. The CLI's ``bootstrap`` and
-``cv`` run them, and its ensemble ``predict`` feeds one stacked product per
-member to ``bagged_band``, so their artifacts have the same bytes as the
-one-member-at-a-time path.
+``cv`` run them, and its ensemble ``predict`` feeds ``member_predictions``,
+one product per member, to ``bagged_band``, so their artifacts have the
+same bytes as the one-member-at-a-time path.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _REDRAW_CAP = 100
 # _STACK_BYTES // (8 * n_p * n_basis) members (at least one) keeps each
 # stacked array under it whatever the member count. Members are solved slice
 # by slice, so where the block boundaries fall changes no bit of the results.
+# ``member_predictions`` bounds its block of q-point products the same way.
 _STACK_BYTES = 1 << 20
 
 
@@ -231,6 +232,26 @@ def bagged_band(y_pop, j_i_mean: float):
     y_mean = y_pop.mean(axis=-1)
     var_model = y_pop.std(axis=-1) ** 2
     return y_mean, np.sqrt(j_i_mean + var_model)
+
+
+def member_predictions(Phi, weight_population) -> np.ndarray:
+    """The q x n_E predictions Phi w_j of every column w_j of an n_w x n_E
+    linear weight population, in one C-contiguous array (``bagged_band``
+    reduces it without a copy).
+
+    It is filled a block of at most _STACK_BYTES of products at a time, and
+    each member's column is its own matrix-vector product, bit-equal to
+    that member's own ``LinearModel.predict``; no other q x n_E array is
+    made.
+    """
+    W = np.ascontiguousarray(np.asarray(weight_population, dtype=float).T)
+    Phi = np.asarray(Phi, dtype=float)
+    y_pop = np.empty((Phi.shape[0], W.shape[0]))
+    step = max(1, _STACK_BYTES // (y_pop.itemsize * max(1, Phi.shape[0])))
+    for first in range(0, W.shape[0], step):
+        block = W[first : first + step, :, None]
+        y_pop[:, first : first + step] = np.matmul(Phi[None], block)[:, :, 0].T
+    return y_pop
 
 
 def ensemble_predict(xg, weight_population, j_i_mean: float, predict_fn):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regfit
 from regfit import cli, linear, resampling
 from regfit.data import load_csv
 
@@ -82,6 +87,28 @@ class TestFit:
         assert "standardize" in doc
         assert run(["predict", "--model", fit_dir / "model.json", "--input", data_csv,
                     "--output", tmp_path / "p"]) == 0
+
+
+class TestDivergedFit:
+    # gradient descent at these rates blows up on the default gen-data curve:
+    # at eta 10 the loss overflows, at eta 100 the gradient does first
+    @pytest.mark.parametrize("eta, epoch", [(10, 33), (100, 23)])
+    def test_exits_2_naming_the_epoch(self, data_csv, tmp_path, eta, epoch):
+        out = tmp_path / "fit"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(regfit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "regfit.cli", "fit", "--input", str(data_csv),
+             "--model", "mlp", "--optimizer", "gd", "--eta", str(eta), "--epochs", "50",
+             "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"numerical failure: training diverged in epoch {epoch} "
+                                      "of 50"), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (out / "model.json").exists()
 
 
 class TestPredict:
@@ -335,3 +362,26 @@ def test_resampling_builds_features_once_and_solves_per_block(data_csv, tmp_path
     # 60 rows in 7 folds: training sets of 51 and 52 rows, one stack each
     assert run(["cv", "--input", data_csv, "--folds", 7, "--output", tmp_path / "c"]) == 0
     assert calls == {"feature_matrix": 1, "ridge_solve": 2}
+
+
+def test_ensemble_predict_peak_memory(tmp_path):
+    # q = n_E = 1000: one q x n_E population (8 MB) and the one temporary of
+    # its std, not also a stacked product and its contiguous copy
+    n_e, q = 1000, 1000
+    rng = np.random.default_rng(0)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "schema_version": 1, "kind": "linear_ensemble",
+        "basis": linear.basis_to_dict(linear.Polynomial(3)),
+        "weight_population": rng.standard_normal((4, n_e)).tolist(), "j_i_mean": 0.1,
+    }))
+    queries = tmp_path / "q.csv"
+    queries.write_text("x0\n" + "".join(f"{x!r}\n" for x in rng.uniform(-2, 2, q).tolist()))
+    tracemalloc.start()
+    try:
+        assert run(["predict", "--model", model, "--input", queries,
+                    "--output", tmp_path / "p"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"

@@ -206,3 +206,36 @@ def test_batch_larger_than_dataset_rejected():
     with pytest.raises(ValidationError):
         optim.minibatch_train(m0, d, losses.MSE(), optim.GD(),
                               optim.BatchSchedule(11, 1, 0))
+
+
+def test_train_aborts_on_a_non_finite_gradient_with_the_last_finite_state():
+    seen = []
+
+    def grad(w, rows):
+        seen.append(rows)
+        return np.full_like(w, np.nan) if len(seen) == 7 else w
+
+    # 5 rows in batches of 2: three steps per epoch; the 7th gradient is the
+    # first of epoch 2, so the state is the one after epoch 1
+    result = optim.train(np.ones(2), grad, lambda w: float(w @ w), optim.GD(eta=0.1),
+                         optim.BatchSchedule(2, 10, 0), 5)
+    assert result.aborted_at_epoch == 2
+    assert result.steps == 6
+    np.testing.assert_array_equal(result.w, np.full(2, 0.9**6))
+    assert result.history.size == 2
+    assert [len(rows) for rows in seen[:3]] == [2, 2, 1]
+
+
+def test_train_without_rows_takes_one_full_step_per_epoch():
+    seen = []
+
+    def grad(w, rows):
+        seen.append(rows)
+        return w
+
+    result = optim.train(np.ones(3), grad, lambda w: float(w @ w), optim.GD(eta=0.5),
+                         optim.BatchSchedule(4, 3, 0), 0)
+    assert seen == [None] * 3
+    assert result.aborted_at_epoch is None and result.steps == 3
+    np.testing.assert_array_equal(result.w, np.full(3, 0.125))
+    np.testing.assert_array_equal(result.history, [0.75, 0.1875, 0.046875])
