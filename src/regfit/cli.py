@@ -1,11 +1,14 @@
 """Command-line front end: fit/predict/cv/bootstrap/pde-solve/symreg/gen-data.
 
-All randomness flows from the single --seed flag (default 42), every report
-embeds the seed, and repeated runs with identical flags produce
-byte-identical artifacts. Reports are JSON with a schema_version field;
-data tables are CSV. Exit codes: 0 success, 1 validation error, 2
-numerical failure (a diverged ``fit --model mlp`` among them: no model is
-written).
+All randomness flows from the single --seed flag (default 42), and
+repeated runs with identical flags produce byte-identical artifacts. Data
+tables are CSV; every JSON report is one envelope (``schema_version`` 1,
+``command``, ``seed``) around the command's fields, from ``_write_report``.
+``KERNELS`` and ``OPTIMIZERS`` map each name --kernel and --optimizer
+accept to what it builds. Exit codes: 0 success, 1 validation error (a NaN
+or infinite float option among them), 2 numerical failure (a diverged
+``fit --model mlp`` among them: no model is written); argparse's own usage
+errors exit 2.
 
 Wall-clock timing is reported only when --with-timing is passed (the field
 is null otherwise) so that default outputs stay reproducible.
@@ -24,21 +27,36 @@ from scipy.linalg import LinAlgError
 
 from . import kernels, linear, losses, network, optim, physics, resampling, symreg
 from .data import Dataset, _write_table, generate_fig2_like, load_csv, load_inputs_csv, save_csv
-from .errors import NumericalError, ValidationError, as_number, as_number_array, require_keys
+from .errors import (
+    NumericalError, ValidationError, as_number, as_number_array, load_json_file, require_keys,
+)
 
 DEFAULT_SEED = 42
 CONFIDENCE_FACTOR = 1.96  # half-width multiplier of the 95% band
 
+KERNELS = {
+    "gaussian": lambda args: kernels.GaussianKernel(args.gamma),
+    "linear": lambda args: kernels.LinearKernel(),
+    "polynomial": lambda args: kernels.PolynomialKernel(args.kernel_degree, args.kernel_offset),
+}
+
+OPTIMIZERS = {
+    "gd": lambda args: optim.GD(eta=args.eta),
+    "momentum": lambda args: optim.Momentum(eta=args.eta, beta=args.beta),
+    "rmsprop": lambda args: optim.RMSProp(eta=args.eta, beta=args.beta, eps=args.opt_eps),
+    "adam": lambda args: optim.Adam(eta=args.eta, beta1=args.beta1, beta2=args.beta2,
+                                    eps=args.opt_eps),
+}
+
 
 def _write_json(path: Path, doc: dict) -> None:
-    def convert(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        raise TypeError(f"not JSON serializable: {type(obj)}")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=convert) + "\n")
+
+def _write_report(path: Path, args, fields: dict) -> None:
+    """A command's report: its fields in the envelope every report shares."""
+    _write_json(path, {"schema_version": 1, "command": args.command, "seed": args.seed,
+                       **fields})
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -65,54 +83,27 @@ def _apply_standardize(doc, X):
     return (X - np.asarray(doc["mean"])) / np.asarray(doc["std"])
 
 
+def _rbf_grid(lo, hi, n, shape) -> linear.GaussianRBF:
+    """n Gaussians centred on an equispaced grid over [lo, hi], all of shape
+    ``shape``; shape 0 picks ``default_rbf_shapes``."""
+    centers = np.linspace(lo, hi, n)[:, None]
+    return linear.GaussianRBF(centers, shape or linear.default_rbf_shapes(centers))
+
+
 def _basis_from_args(args, d: Dataset) -> linear.BasisSpec:
     if args.rbf_centers:
         if d.n_inputs != 1:
             raise ValidationError("--rbf-centers places centers over a 1-D input range")
-        lo, hi = float(d.inputs.min()), float(d.inputs.max())
-        centers = np.linspace(lo, hi, args.rbf_centers)[:, None]
-        shapes = (
-            np.full(args.rbf_centers, args.rbf_shape)
-            if args.rbf_shape
-            else linear.default_rbf_shapes(centers)
-        )
-        return linear.GaussianRBF(centers, shapes)
+        return _rbf_grid(float(d.inputs.min()), float(d.inputs.max()), args.rbf_centers,
+                         args.rbf_shape)
     return linear.Polynomial(args.degree)
-
-
-def _kernel_from_args(args) -> kernels.KernelSpec:
-    if args.kernel == "gaussian":
-        return kernels.GaussianKernel(args.gamma)
-    if args.kernel == "linear":
-        return kernels.LinearKernel()
-    if args.kernel == "polynomial":
-        return kernels.PolynomialKernel(args.kernel_degree, args.kernel_offset)
-    raise ValidationError(f"unknown kernel {args.kernel!r}")
-
-
-def _optimizer_from_args(args) -> optim.OptimizerState:
-    name = args.optimizer
-    if name == "gd":
-        return optim.GD(eta=args.eta)
-    if name == "momentum":
-        return optim.Momentum(eta=args.eta, beta=args.beta)
-    if name == "rmsprop":
-        return optim.RMSProp(eta=args.eta, beta=args.beta, eps=args.opt_eps)
-    if name == "adam":
-        return optim.Adam(eta=args.eta, beta1=args.beta1, beta2=args.beta2, eps=args.opt_eps)
-    raise ValidationError(f"unknown optimizer {name!r}")
 
 
 def cmd_gen_data(args) -> int:
     out = _outdir(args)
     d = generate_fig2_like(args.n_points, args.seed)
     save_csv(d, out / "data.csv")
-    _write_json(out / "report.json", {
-        "schema_version": 1,
-        "command": "gen-data",
-        "seed": args.seed,
-        "n_points": d.n_points,
-    })
+    _write_report(out / "report.json", args, {"n_points": d.n_points})
     return 0
 
 
@@ -134,14 +125,11 @@ def cmd_fit(args) -> int:
             model = linear.ridge_fit(fit_data, basis, args.alpha)
         else:
             model = linear.lasso_fit(fit_data, basis, args.alpha, args.max_iters, args.tol)
-        final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs),
-                                       model.get_params())
     elif args.model in ("krr", "gpr"):
         fit, reg = ((kernels.krr_fit, args.alpha) if args.model == "krr"
                     else (kernels.gpr_fit, args.noise))
-        model = fit(fit_data, _kernel_from_args(args), reg)
-        final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs))
-    elif args.model == "mlp":
+        model = fit(fit_data, KERNELS[args.kernel](args), reg)
+    else:  # mlp
         try:
             sizes = [int(v) for v in args.layers.split(",")]
         except ValueError:
@@ -157,15 +145,14 @@ def cmd_fit(args) -> int:
         sched = optim.BatchSchedule(min(args.batch, fit_data.n_points), args.epochs,
                                     shuffle_seed=args.seed)
         model, history = optim.minibatch_train(net, fit_data, loss,
-                                               _optimizer_from_args(args), sched)
+                                               OPTIMIZERS[args.optimizer](args), sched)
         if history.size < args.epochs:  # training stopped at a non-finite loss or gradient
             raise NumericalError(f"training diverged in epoch {history.size + 1} of "
                                  f"{args.epochs}: the loss or its gradient is no longer "
                                  "finite; no model written")
-        final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs),
-                                       model.get_params())
-    else:
-        raise ValidationError(f"unknown model {args.model!r}")
+    # a kernel model has no weight vector for a loss penalty to act on
+    params = None if args.model in ("krr", "gpr") else model.get_params()
+    final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs), params)
     doc = model.to_dict()
     if standardize_doc:
         doc["standardize"] = standardize_doc
@@ -173,11 +160,8 @@ def cmd_fit(args) -> int:
     if history is not None:
         _write_csv(out / "history.csv", ["epoch", "loss"],
                    [(i, v) for i, v in enumerate(history)])
-    _write_json(out / "report.json", {
-        "schema_version": 1,
-        "command": "fit",
+    _write_report(out / "report.json", args, {
         "model": args.model,
-        "seed": args.seed,
         "loss": args.loss,
         "final_loss": float(final_loss),
         "n_points": d.n_points,
@@ -187,16 +171,7 @@ def cmd_fit(args) -> int:
 
 
 def _load_model(path):
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot open {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return doc, _model_from_dict(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return load_json_file(path, lambda doc: (doc, _model_from_dict(doc)))
 
 
 def _model_from_dict(doc):
@@ -261,13 +236,10 @@ def cmd_cv(args) -> int:
     report = resampling.ridge_cv(d, basis, args.alpha, args.folds, seed=args.seed, shuffle=True)
     _write_csv(out / "folds.csv", ["fold", "J_o"],
                [(k, v) for k, v in enumerate(report.per_fold_mse)])
-    _write_json(out / "summary.json", {
-        "schema_version": 1,
-        "command": "cv",
+    _write_report(out / "summary.json", args, {
         "K": args.folds,
         "mean": report.mean,
         "std": report.std,
-        "seed": args.seed,
     })
     return 0
 
@@ -285,14 +257,11 @@ def cmd_bootstrap(args) -> int:
     _write_csv(out / "members.csv", ["member", "J_i", "J_o"],
                [(j, result.in_sample_mse[j], result.out_sample_mse[j])
                 for j in range(result.n_members)])
-    _write_json(out / "summary.json", {
-        "schema_version": 1,
-        "command": "bootstrap",
+    _write_report(out / "summary.json", args, {
         "n_E": result.n_members,
         "mode": args.mode,
         "mean": float(result.out_sample_mse.mean()),
         "std": float(result.out_sample_mse.std()),
-        "seed": args.seed,
     })
     _write_json(out / "model.json", {
         "schema_version": 1,
@@ -308,12 +277,7 @@ def cmd_pde_solve(args) -> int:
     out = _outdir(args)
     problem = physics.load_problem(args.problem)
     lo, hi = problem.domain
-    centers = np.linspace(lo, hi, args.centers)[:, None]
-    shapes = (
-        np.full(args.centers, args.shape) if args.shape
-        else linear.default_rbf_shapes(centers)
-    )
-    basis = linear.GaussianRBF(centers, shapes)
+    basis = _rbf_grid(lo, hi, args.centers, args.shape)
     data = load_csv(args.input) if args.input else None
     if args.mode == "kkt":
         solution = physics.constrained_solve(problem, basis, args.alpha_reg, data)
@@ -334,11 +298,8 @@ def cmd_pde_solve(args) -> int:
     u = linear.LinearModel(basis, w[:, None]).predict(xs[:, None])[:, 0]
     _write_csv(out / "solution.csv", ["x", "u"], np.column_stack([xs, u]))
     _write_csv(out / "residuals.csv", ["x", "residual"], np.column_stack([x_c, residual]))
-    _write_json(out / "residuals.json", {
-        "schema_version": 1,
-        "command": "pde-solve",
+    _write_report(out / "residuals.json", args, {
         "mode": args.mode,
-        "seed": args.seed,
         "n_centers": args.centers,
         "alpha_reg": args.alpha_reg,
         "alpha_phys": args.alpha_phys if args.mode == "penalty" else None,
@@ -366,10 +327,7 @@ def cmd_symreg(args) -> int:
     )
     _write_csv(out / "history.csv", ["generation", "best_fitness", "mean_fitness"],
                [(g, history[g, 0], history[g, 1]) for g in range(history.shape[0])])
-    _write_json(out / "summary.json", {
-        "schema_version": 1,
-        "command": "symreg",
-        "seed": args.seed,
+    _write_report(out / "summary.json", args, {
         "best_fitness": float(history[-1, 0]),
         "generations": args.generations,
         "population": args.population,
@@ -388,6 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--output", required=True, help="output directory")
 
+    def basis_options(p):
+        p.add_argument("--degree", type=int, default=3)
+        p.add_argument("--rbf-centers", type=int, default=0)
+        p.add_argument("--rbf-shape", type=float, default=0.0)
+
     p = sub.add_parser("gen-data", help="write a synthetic noisy-curve dataset")
     common(p)
     p.add_argument("--n-points", type=int, default=60)
@@ -400,22 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["ridge", "lasso", "krr", "gpr", "mlp"])
     p.add_argument("--loss", default="mse",
                    help="mse | wmse | huber:d | eps:e | ridge:a | lasso:a")
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--rbf-centers", type=int, default=0)
-    p.add_argument("--rbf-shape", type=float, default=0.0)
+    basis_options(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--kernel", default="gaussian",
-                   choices=["gaussian", "linear", "polynomial"])
+    p.add_argument("--kernel", default="gaussian", choices=list(KERNELS))
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--kernel-degree", type=int, default=2)
     p.add_argument("--kernel-offset", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=1e-6)
     p.add_argument("--layers", default="1,16,16,1")
     p.add_argument("--activations", default="")
-    p.add_argument("--optimizer", default="adam",
-                   choices=["gd", "momentum", "rmsprop", "adam"])
+    p.add_argument("--optimizer", default="adam", choices=list(OPTIMIZERS))
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--beta", type=float, default=0.9)
     p.add_argument("--beta1", type=float, default=0.9)
@@ -439,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--rbf-centers", type=int, default=0)
-    p.add_argument("--rbf-shape", type=float, default=0.0)
+    basis_options(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.set_defaults(func=cmd_cv)
 
@@ -451,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int, default=100)
     p.add_argument("--test-fraction", type=float, default=0.3)
     p.add_argument("--mode", default="split", choices=["split", "replacement"])
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--rbf-centers", type=int, default=0)
-    p.add_argument("--rbf-shape", type=float, default=0.0)
+    basis_options(p)
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("pde-solve", help="RBF collocation solve of a 1-D BVP")
@@ -485,6 +440,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, value in vars(args).items():  # NaN or inf in a float option
+            if isinstance(value, float):
+                as_number(value, "--" + dest.replace("_", "-"))
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

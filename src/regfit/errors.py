@@ -4,11 +4,13 @@ Two failure categories exist: bad inputs (shapes, ranges, malformed files)
 and numerical breakdown (singular systems, failed factorizations). The CLI
 maps them to exit codes 1 and 2 respectively.
 
-The ``require_keys`` and ``as_*`` helpers check documents read from files:
-they turn a missing key or a value of the wrong type into a ValidationError
-that names the key.
+``load_json_file`` reads every JSON input file (model and problem files),
+naming the file in each ValidationError. The ``require_keys`` and ``as_*``
+helpers check the documents read: they turn a missing key or a value of the
+wrong type into a ValidationError that names the key.
 """
 
+import json
 import math
 import numbers
 
@@ -21,6 +23,23 @@ class ValidationError(ValueError):
 
 class NumericalError(RuntimeError):
     """Raised when a linear-algebra operation breaks down numerically."""
+
+
+def load_json_file(path, parse):
+    """``parse(doc)`` of the JSON document in the file at ``path``; a file
+    that cannot be opened or read as UTF-8 JSON, and a ValidationError from
+    ``parse``, become a ValidationError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot open {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def require_keys(doc, keys, what: str) -> None:

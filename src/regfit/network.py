@@ -6,7 +6,10 @@ with one activation per layer. Rows of a batch are processed independently;
 the model is static and memoryless.
 
 Parameters flatten layer by layer, weights before biases, so the vector is
-[W(2).ravel(), b(2), W(3).ravel(), b(3), ...].
+[W(2).ravel(), b(2), W(3).ravel(), b(3), ...]. ``_sweep`` is the one
+forward/backward sweep at such a vector, with no network built: the
+gradients of ``flat_objective``, ``backprop`` and ``physics.pinn_train``
+all run it.
 """
 
 from __future__ import annotations
@@ -191,6 +194,16 @@ def _forward_values(Ws, bs, acts, X) -> list:
     return ys
 
 
+def _sweep(sizes, acts, w, X):
+    """The output of the network with layer sizes ``sizes`` and activations
+    ``acts`` at flat parameters w on the batch X, and ``back(G)``: the flat
+    gradient of sum(G * output), from one backward sweep over the cached
+    layer outputs."""
+    Ws, bs = _split_params(sizes, w)
+    ys = _forward_values(Ws, bs, acts, X)
+    return ys[-1], lambda G: _backward(Ws, acts, ys, G)
+
+
 def _backward(Ws, acts, ys: list, out_grad) -> np.ndarray:
     """Reverse-mode sweep over the layer outputs of ``_forward_values``: the
     flat-parameter gradient of sum(out_grad * y(L))."""
@@ -204,57 +217,40 @@ def _backward(Ws, acts, ys: list, out_grad) -> np.ndarray:
     return np.concatenate(grads)
 
 
-def _loss_backward(Ws, acts, ys: list, y_true, loss: LossSpec, w) -> np.ndarray:
-    """Gradient, with respect to the flat parameters w, of the loss of the
-    outputs ``ys`` that ``_forward_values`` computed at w."""
-    out_grad, grad_w = loss_gradient(loss, y_true, ys[-1], w)
-    grad = _backward(Ws, acts, ys, out_grad)
-    if grad_w is not None:
-        grad = grad + grad_w
-    return grad
-
-
 def _check_differentiable(loss: LossSpec) -> None:
     base = loss.base if isinstance(loss, Penalized) else loss
     if isinstance(base, EpsilonInsensitive):
         raise ValidationError("epsilon-insensitive loss is not differentiable enough for backprop")
 
 
-def backprop_from_output_grad(net: MLP, X, out_grad) -> np.ndarray:
-    """Reverse-mode gradient of sum(out_grad * output) with respect to the
-    flat parameter vector; ``out_grad`` is dJ/d(output), shaped like the
-    network output for the batch X."""
-    return _backward(net.weights, net.activations, forward(net, X)[1], out_grad)
-
-
 def backprop(net: MLP, X, y_true, loss: LossSpec) -> np.ndarray:
     """Exact gradient of the scalar loss with respect to the flat parameters.
 
     The loss must be differentiable in the predictions: the
-    epsilon-insensitive variant is refused.
+    epsilon-insensitive variant is refused. This is ``flat_objective``'s
+    gradient on every row, at the network's own parameters.
     """
-    _check_differentiable(loss)
-    ys = forward(net, X)[1]
-    return _loss_backward(net.weights, net.activations, ys, y_true, loss, flatten_params(net))
+    grad, _ = flat_objective(net, X, y_true, loss)
+    return grad(flatten_params(net), slice(None))
 
 
 def flat_objective(net: MLP, X, Y, loss: LossSpec):
     """The training objective of a network of net's shape as functions of
     its flat parameters w: ``grad(w, rows)``, the ``backprop`` gradient of
     the loss on rows ``rows`` of (X, Y), and ``cost(w)``, the loss on all
-    rows. Both run on the layer arrays that ``_split_params`` slices from w,
-    without building a network; the loss and the input width are checked
-    once, here."""
+    rows. Both run ``_sweep``, without building a network; the loss and the
+    input width are checked once, here."""
     _check_differentiable(loss)
     X = _check_width(net.layer_sizes, X)
     sizes, acts = net.layer_sizes, net.activations
 
     def grad(w, rows):
-        Ws, bs = _split_params(sizes, w)
-        return _loss_backward(Ws, acts, _forward_values(Ws, bs, acts, X[rows]), Y[rows], loss, w)
+        out, back = _sweep(sizes, acts, w, X[rows])
+        out_grad, grad_w = loss_gradient(loss, Y[rows], out, w)
+        g = back(out_grad)
+        return g if grad_w is None else g + grad_w
 
     def cost(w):
-        Ws, bs = _split_params(sizes, w)
-        return loss_value(loss, Y, _forward_values(Ws, bs, acts, X)[-1], w)
+        return loss_value(loss, Y, _sweep(sizes, acts, w, X)[0], w)
 
     return grad, cost

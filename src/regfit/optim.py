@@ -169,8 +169,8 @@ def model_gradient(model: TrainablePredictor, X, Y, loss: LossSpec) -> np.ndarra
     if isinstance(model, MLP):
         return backprop(model, X, Y, loss)
     if isinstance(model, LinearModel):
-        grad_pred, grad_w = loss_gradient(loss, Y, model.predict(X), model.get_params())
-        Phi = feature_matrix(model.basis, X)
+        Phi = feature_matrix(model.basis, X)  # built once: predictions are Phi @ weights
+        grad_pred, grad_w = loss_gradient(loss, Y, Phi @ model.weights, model.get_params())
         grad = (Phi.T @ grad_pred.reshape(Phi.shape[0], -1)).ravel()
         if grad_w is not None:
             grad = grad + grad_w

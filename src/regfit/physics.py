@@ -10,12 +10,12 @@ functions; its pointwise defect at the collocation points is the residual
 vector that the solvers drive toward zero.
 
 Two fusion strategies are implemented on top of the shared residual
-machinery:
+machinery (one assembly of the interior and boundary rows):
 
-* ``penalized_fit`` adds the squared residuals (interior and boundary) to
-  the data cost with a weight ``alpha_phys`` and solves the resulting
-  quadratic; boundary conditions are only met approximately, ever more
-  tightly as the weight grows.
+* ``penalized_fit`` minimizes a ``PhysicsCost``: the data MSE plus
+  ``alpha_phys`` times the squared residuals (interior and boundary), a
+  quadratic it solves in closed form; boundary conditions are only met
+  approximately, ever more tightly as the weight grows.
 * ``constrained_solve`` enforces the boundary rows exactly through Lagrange
   multipliers, reducing to a symmetric indefinite KKT linear system; the
   interior residual stays in the quadratic objective.
@@ -26,7 +26,6 @@ input derivatives are taken by central finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +33,12 @@ from scipy.linalg import LinAlgError, solve
 
 from .data import Dataset
 from .errors import (
-    NumericalError, ValidationError, as_integer, as_number, as_number_array, require_keys,
+    NumericalError, ValidationError, as_integer, as_number, as_number_array, load_json_file,
+    require_keys,
 )
 from .linear import BasisSpec, GaussianRBF, LinearModel, Polynomial, feature_matrix, ridge_solve
-from .losses import MSE, LossSpec
-from .network import (
-    MLP, _backward, _forward_values, _split_params, flat_objective, flatten_params, forward,
-)
+from .losses import MSE
+from .network import MLP, _sweep, flat_objective, flatten_params, forward
 from .optim import BatchSchedule, OptimizerState, train
 
 # hard-constraint satisfaction tolerance (relative) and the jitter tried on
@@ -102,11 +100,11 @@ class CollocationProblem:
 
 @dataclass(frozen=True)
 class PhysicsCost:
-    """Data loss + alpha_phys * residual cost for one collocation problem."""
+    """The cost ``penalized_fit`` minimizes for one collocation problem:
+    the data MSE + alpha_phys * the physics residual cost."""
 
     problem: CollocationProblem
     alpha_phys: float
-    data_loss: LossSpec = MSE()
 
     def __post_init__(self):
         if self.alpha_phys < 0:
@@ -172,13 +170,17 @@ def operator_matrix(problem: CollocationProblem, basis: BasisSpec, x):
 def boundary_rows(problem: CollocationProblem, basis: BasisSpec):
     """Constraint rows B and values u_b: one row per boundary condition,
     the feature row for Dirichlet and the derivative row for Neumann."""
-    rows = []
-    vals = []
-    for bc in problem.boundary:
-        phi, phi1, _ = derivative_matrices(basis, [bc.location])
-        rows.append(phi[0] if bc.kind == "dirichlet" else phi1[0])
-        vals.append(bc.value)
-    return np.asarray(rows), np.asarray(vals, dtype=float)
+    bcs = problem.boundary
+    phi, phi1, _ = derivative_matrices(basis, [bc.location for bc in bcs])
+    dirichlet = np.array([bc.kind == "dirichlet" for bc in bcs])
+    return np.where(dirichlet[:, None], phi, phi1), np.array([bc.value for bc in bcs], dtype=float)
+
+
+def _collocation(problem: CollocationProblem, basis: BasisSpec):
+    """The interior points x_c, the operator rows L and source g there, and
+    the boundary rows B and values u_b: what both solvers assemble."""
+    x_c = problem.interior_points(basis.n_basis)
+    return (x_c, *operator_matrix(problem, basis, x_c), *boundary_rows(problem, basis))
 
 
 def pde_residual(problem: CollocationProblem, basis: BasisSpec, w) -> np.ndarray:
@@ -201,9 +203,8 @@ def physics_residual_norm(problem: CollocationProblem, basis: BasisSpec, w) -> f
     defects): the quantity the soft-constraint weight trades against the
     data error."""
     w = np.asarray(w, dtype=float).ravel()
-    r = pde_residual(problem, basis, w)
-    B, u_b = boundary_rows(problem, basis)
-    bc = B @ w - u_b
+    _, L, g, B, u_b = _collocation(problem, basis)
+    r, bc = L @ w - g, B @ w - u_b
     return float(np.sqrt(np.sum(r * r) / r.size + np.sum(bc * bc)))
 
 
@@ -232,8 +233,6 @@ def penalized_fit(
     _check_scalar_targets(d)
     if alpha_reg < 0:
         raise ValidationError(f"alpha_reg must be nonnegative, got {alpha_reg}")
-    if not isinstance(cost.data_loss, MSE):
-        raise ValidationError("the closed-form penalized fit requires the plain MSE data term")
     n_b = basis.n_basis
     if cost.alpha_phys == 0:
         # no physics rows left: this is ridge regression, solved by the same
@@ -253,9 +252,7 @@ def penalized_fit(
     if alpha_reg > 0:
         blocks.append(np.sqrt(alpha_reg) * np.eye(n_b))
         targets.append(np.zeros(n_b))
-    x_c = cost.problem.interior_points(n_b)
-    L, g = operator_matrix(cost.problem, basis, x_c)
-    B, u_b = boundary_rows(cost.problem, basis)
+    x_c, L, g, B, u_b = _collocation(cost.problem, basis)
     s_int = np.sqrt(cost.alpha_phys / x_c.size)
     s_bc = np.sqrt(cost.alpha_phys)
     blocks.extend([s_int * L, s_bc * B])
@@ -288,9 +285,7 @@ def constrained_solve(
     if not alpha_reg > 0:
         raise ValidationError(f"alpha_reg must be positive, got {alpha_reg}")
     n_b = basis.n_basis
-    x_c = problem.interior_points(n_b)
-    L, g = operator_matrix(problem, basis, x_c)
-    B, u_b = boundary_rows(problem, basis)
+    x_c, L, g, B, u_b = _collocation(problem, basis)
     n_eq = B.shape[0]
     if n_eq > n_b:
         raise ValidationError(f"{n_eq} hard constraints exceed the {n_b} basis functions")
@@ -388,9 +383,8 @@ def _pinn_objective(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step
 
     def physics(w):
         if last[0] is not w:
-            Ws, bs = _split_params(sizes, w)
-            ys = _forward_values(Ws, bs, acts, X)
-            last[:] = w, (Ws, ys, *terms(ys[-1][:, 0]))
+            u, back = _sweep(sizes, acts, w, X)
+            last[:] = w, (back, *terms(u[:, 0]))
         return last[1]
 
     def grad(w, rows):
@@ -398,12 +392,12 @@ def _pinn_objective(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step
         if rows is not None:
             g += data_grad(w, rows)
         if alpha_phys > 0:
-            Ws, ys, _, G = physics(w)
-            g += _backward(Ws, acts, ys, G)
+            back, _, G = physics(w)
+            g += back(G)
         return g
 
     def cost(w):
-        j = physics(w)[2]
+        j = physics(w)[1]
         return j + data_cost(w) if data is not None else j
 
     return grad, cost
@@ -523,14 +517,4 @@ def problem_from_dict(doc: dict) -> CollocationProblem:
 
 
 def load_problem(path) -> CollocationProblem:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot open {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return problem_from_dict(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return load_json_file(path, problem_from_dict)

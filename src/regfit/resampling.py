@@ -88,6 +88,8 @@ class CVReport:
 
 def _member_indices(n_points, test_fraction, mode, rng):
     """One member's (train, test) rows under the requested resampling mode."""
+    if not 0.0 <= test_fraction < 1.0:
+        raise ValidationError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     if mode == "split":
         idx = split_indices(n_points, test_fraction, rng)
         if not idx.test.size:

@@ -95,14 +95,8 @@ class TestDivergedFit:
     @pytest.mark.parametrize("eta, epoch", [(10, 33), (100, 23)])
     def test_exits_2_naming_the_epoch(self, data_csv, tmp_path, eta, epoch):
         out = tmp_path / "fit"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(regfit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "regfit.cli", "fit", "--input", str(data_csv),
-             "--model", "mlp", "--optimizer", "gd", "--eta", str(eta), "--epochs", "50",
-             "--output", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _cli_process(["fit", "--input", data_csv, "--model", "mlp", "--optimizer", "gd",
+                             "--eta", eta, "--epochs", 50, "--output", out])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"numerical failure: training diverged in epoch {epoch} "
                                       "of 50"), proc.stderr
@@ -311,6 +305,73 @@ class TestBadFilesAndArguments:
                      "--output", tmp_path / "o"], capsys, "test_fraction=0.0", "split mode")
         assert run(["bootstrap", "--input", data_csv, "--test-fraction", 0,
                     "--mode", "replacement", "--output", tmp_path / "r"]) == 0
+
+
+def _cli_process(args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(regfit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "regfit.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["fit", "--model", "ridge", "--alpha", "nan"], "--alpha must be a finite number, got nan"),
+    (["fit", "--model", "lasso", "--alpha", "nan"], "--alpha must be a finite number, got nan"),
+    (["fit", "--model", "mlp", "--eta", "inf", "--epochs", 3],
+     "--eta must be a finite number, got inf"),
+    (["fit", "--model", "gpr", "--noise", "nan"], "--noise must be a finite number, got nan"),
+    (["fit", "--model", "krr", "--kernel", "polynomial", "--kernel-offset", "nan"],
+     "--kernel-offset must be a finite number, got nan"),
+    (["bootstrap", "--mode", "replacement", "--test-fraction", "nan"],
+     "--test-fraction must be a finite number, got nan"),
+    (["bootstrap", "--mode", "replacement", "--test-fraction", -0.2],
+     "test_fraction must lie in [0, 1), got -0.2"),
+], ids=["ridge-alpha-nan", "lasso-alpha-nan", "mlp-eta-inf", "gpr-noise-nan",
+        "krr-kernel-offset-nan", "replacement-test-fraction-nan",
+        "replacement-test-fraction-negative"])
+def test_non_finite_or_out_of_range_option_exits_1(data_csv, tmp_path, args, needle):
+    out = tmp_path / "o"
+    proc = _cli_process([*args, "--input", data_csv, "--output", out])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and needle in proc.stderr, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert not (out / "model.json").exists()
+
+
+def test_argparse_usage_errors_keep_exit_2(data_csv, tmp_path):
+    proc = _cli_process(["fit", "--model", "ridge", "--alpha", "abc", "--input", data_csv,
+                         "--output", tmp_path / "o"])
+    assert proc.returncode == 2
+    assert "invalid float value: 'abc'" in proc.stderr
+
+
+_ENVELOPE = {"schema_version", "command", "seed"}
+
+
+@pytest.mark.parametrize("args, report, fields", [
+    (["gen-data"], "report.json", {"n_points"}),
+    (["fit", "--model", "ridge", "--input", "DATA"], "report.json",
+     {"model", "loss", "final_loss", "n_points", "elapsed_seconds"}),
+    (["cv", "--input", "DATA"], "summary.json", {"K", "mean", "std"}),
+    (["bootstrap", "--members", 5, "--input", "DATA"], "summary.json",
+     {"n_E", "mode", "mean", "std"}),
+    (["pde-solve", "--problem", "PROBLEM", "--centers", 12], "residuals.json",
+     {"mode", "n_centers", "alpha_reg", "alpha_phys", "interior_residual_rms",
+      "interior_residual_max", "multipliers", "boundary_defect"}),
+    (["pde-solve", "--problem", "PROBLEM", "--centers", 12, "--mode", "penalty"],
+     "residuals.json", {"mode", "n_centers", "alpha_reg", "alpha_phys",
+                        "interior_residual_rms", "interior_residual_max", "boundary_defect"}),
+    (["symreg", "--population", 10, "--generations", 2, "--input", "DATA"], "summary.json",
+     {"best_fitness", "generations", "population"}),
+], ids=["gen-data", "fit", "cv", "bootstrap", "pde-solve-kkt", "pde-solve-penalty", "symreg"])
+def test_report_envelope(data_csv, poisson_json, tmp_path, args, report, fields):
+    paths = {"DATA": data_csv, "PROBLEM": poisson_json}
+    out = tmp_path / "o"
+    assert run([paths.get(a, a) for a in args] + ["--seed", 9, "--output", out]) == 0
+    doc = json.loads((out / report).read_text())
+    assert set(doc) == _ENVELOPE | fields
+    assert (doc["schema_version"], doc["command"], doc["seed"]) == (1, args[0], 9)
 
 
 def _one_nonzero_row_csv(tmp_path):

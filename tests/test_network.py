@@ -163,13 +163,13 @@ class TestBackprop:
 
     def test_runs_forward_once(self, monkeypatch):
         calls = []
-        real_forward = network.forward
+        real_forward = network._forward_values
 
-        def counting_forward(net, X):
+        def counting_forward(*args):
             calls.append(1)
-            return real_forward(net, X)
+            return real_forward(*args)
 
-        monkeypatch.setattr(network, "forward", counting_forward)
+        monkeypatch.setattr(network, "_forward_values", counting_forward)
         net = network.init_mlp([2, 3, 1], seed=1)
         network.backprop(net, np.ones((4, 2)), np.zeros((4, 1)), losses.MSE())
         assert len(calls) == 1

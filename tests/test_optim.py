@@ -153,6 +153,26 @@ def test_minibatch_steps_per_epoch():
     assert all(size == 100 for size in calls)
 
 
+def test_linear_gradient_builds_one_feature_matrix(monkeypatch):
+    # both bindings are counted: optim's own and the one LinearModel.predict uses
+    calls = []
+    original = linear.feature_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(linear, "feature_matrix", counted)
+    monkeypatch.setattr(optim, "feature_matrix", counted)
+    d = _line_data(30)
+    m = linear.LinearModel(linear.Polynomial(3), np.arange(4.0))
+    g = optim.model_gradient(m, d.inputs, d.targets, losses.Huber(0.3))
+    assert len(calls) == 1
+    Phi = original(m.basis, d.inputs)
+    grad_pred, _ = losses.loss_gradient(losses.Huber(0.3), d.targets, m.predict(d.inputs))
+    np.testing.assert_array_equal(g, (Phi.T @ grad_pred).ravel())
+
+
 def test_full_batch_equals_plain_gradient_descent():
     d = _line_data(40)
     basis = linear.Polynomial(1)
