@@ -83,6 +83,14 @@ def _apply_standardize(doc, X):
     return (X - np.asarray(doc["mean"])) / np.asarray(doc["std"])
 
 
+def _count(args, dest: str) -> int:
+    """The value of the count option ``dest``, refused below 1."""
+    n = getattr(args, dest)
+    if n < 1:
+        raise ValidationError(f"--{dest.replace('_', '-')} must be at least 1, got {n}")
+    return n
+
+
 def _rbf_grid(lo, hi, n, shape) -> linear.GaussianRBF:
     """n Gaussians centred on an equispaced grid over [lo, hi], all of shape
     ``shape``; shape 0 picks ``default_rbf_shapes``."""
@@ -94,8 +102,8 @@ def _basis_from_args(args, d: Dataset) -> linear.BasisSpec:
     if args.rbf_centers:
         if d.n_inputs != 1:
             raise ValidationError("--rbf-centers places centers over a 1-D input range")
-        return _rbf_grid(float(d.inputs.min()), float(d.inputs.max()), args.rbf_centers,
-                         args.rbf_shape)
+        return _rbf_grid(float(d.inputs.min()), float(d.inputs.max()),
+                         _count(args, "rbf_centers"), args.rbf_shape)
     return linear.Polynomial(args.degree)
 
 
@@ -233,7 +241,7 @@ def cmd_cv(args) -> int:
     d = load_csv(args.input)
     basis = _basis_from_args(args, d)
 
-    report = resampling.ridge_cv(d, basis, args.alpha, args.folds, seed=args.seed, shuffle=True)
+    report = resampling.ridge_cv(d, basis, args.alpha, args.folds, seed=args.seed)
     _write_csv(out / "folds.csv", ["fold", "J_o"],
                [(k, v) for k, v in enumerate(report.per_fold_mse)])
     _write_report(out / "summary.json", args, {
@@ -275,9 +283,10 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_pde_solve(args) -> int:
     out = _outdir(args)
+    n_samples = _count(args, "samples")
     problem = physics.load_problem(args.problem)
     lo, hi = problem.domain
-    basis = _rbf_grid(lo, hi, args.centers, args.shape)
+    basis = _rbf_grid(lo, hi, _count(args, "centers"), args.shape)
     data = load_csv(args.input) if args.input else None
     if args.mode == "kkt":
         solution = physics.constrained_solve(problem, basis, args.alpha_reg, data)
@@ -294,7 +303,7 @@ def cmd_pde_solve(args) -> int:
         extra = {"boundary_defect": float(np.linalg.norm(B @ w - u_b))}
     residual = physics.pde_residual(problem, basis, w)
     x_c = problem.interior_points(args.centers)
-    xs = np.linspace(lo, hi, args.samples)
+    xs = np.linspace(lo, hi, n_samples)
     u = linear.LinearModel(basis, w[:, None]).predict(xs[:, None])[:, 0]
     _write_csv(out / "solution.csv", ["x", "u"], np.column_stack([xs, u]))
     _write_csv(out / "residuals.csv", ["x", "residual"], np.column_stack([x_c, residual]))

@@ -22,7 +22,6 @@ import csv
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -42,19 +41,6 @@ FIG_OUTLIER_OFFSET = (2.5, 5.0) # |offset| range of an outlier, random sign
 def _reference_curve(x: np.ndarray) -> np.ndarray:
     """Smooth ground-truth curve used by the synthetic generator."""
     return x**3 - x + 0.3 * np.sin(2.5 * x)
-
-
-@runtime_checkable
-class TrainablePredictor(Protocol):
-    """A model that maps an input matrix to an output matrix, row for row,
-    and whose behaviour is fully determined by a flat parameter vector;
-    gradient-based training works on copies, never in place."""
-
-    def predict(self, X: np.ndarray) -> np.ndarray: ...
-
-    def get_params(self) -> np.ndarray: ...
-
-    def with_params(self, w: np.ndarray) -> "TrainablePredictor": ...
 
 
 @dataclass(frozen=True)

@@ -283,11 +283,14 @@ def lasso_fit(
     Minimizes (1/n_p)||Y - Phi W||^2 + alpha ||W||_1 with step size 1/L,
     L the largest eigenvalue of (2/n_p) Phi^T Phi (power iteration), and
     the soft-threshold prox. Stops when the largest parameter change drops
-    below ``tol``; on hitting ``max_iters`` first, the last iterate is
-    returned and a RuntimeWarning is emitted.
+    below ``tol`` (>= 0); on hitting ``max_iters`` (>= 1) first, the last
+    iterate is returned and a RuntimeWarning is emitted.
     """
     if alpha < 0:
         raise ValidationError(f"lasso alpha must be nonnegative, got {alpha}")
+    if max_iters < 1 or tol < 0:
+        raise ValidationError(f"lasso needs max_iters >= 1 and tol >= 0, "
+                              f"got max_iters={max_iters}, tol={tol}")
     Phi = feature_matrix(basis, d.inputs)
     Y = d.targets
     n = Phi.shape[0]

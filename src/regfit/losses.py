@@ -41,7 +41,10 @@ class WeightedMSE(LossSpec):
         S.setflags(write=False)
         object.__setattr__(self, "covariance", S)
         # positive definiteness is verified by factorization, not eigenvalues
-        object.__setattr__(self, "_chol", _spd_factor(S, "covariance"))
+        try:
+            object.__setattr__(self, "_chol", cho_factor(S, lower=True))
+        except LinAlgError as exc:
+            raise NumericalError(f"covariance is not positive-definite: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,6 @@ class Penalized(LossSpec):
             raise ValidationError("nested penalties are not supported")
 
 
-def _spd_factor(S: np.ndarray, what: str):
-    try:
-        return cho_factor(S, lower=True)
-    except LinAlgError as exc:
-        raise NumericalError(f"{what} is not positive-definite: {exc}") from exc
-
-
 def _check_shapes(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.atleast_1d(np.asarray(y_true, dtype=float))
     b = np.atleast_1d(np.asarray(y_pred, dtype=float))
@@ -94,15 +90,11 @@ def _check_shapes(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, n
     return a, b
 
 
-def _n_samples(a: np.ndarray) -> int:
-    return a.shape[0]
-
-
 def mse(y_true, y_pred) -> float:
     """(1/n_p) * sum of squared row errors; zero iff the arguments agree."""
     a, b = _check_shapes(y_true, y_pred)
     e = b - a
-    return float(np.sum(e * e) / _n_samples(a))
+    return float(np.sum(e * e) / a.shape[0])
 
 
 def weighted_mse(y_true, y_pred, covariance) -> float:
@@ -113,7 +105,7 @@ def weighted_mse(y_true, y_pred, covariance) -> float:
     """
     spec = covariance if isinstance(covariance, WeightedMSE) else WeightedMSE(covariance)
     a, b = _check_shapes(y_true, y_pred)
-    e = (b - a).reshape(_n_samples(a), -1)
+    e = (b - a).reshape(a.shape[0], -1)
     if spec.covariance.shape[0] != e.shape[0]:
         raise ValidationError(
             f"covariance is {spec.covariance.shape[0]}x{spec.covariance.shape[0]}, "
@@ -135,7 +127,7 @@ def huber(e, delta: float) -> float:
     e = np.atleast_1d(np.asarray(e, dtype=float))
     ae = np.abs(e)
     per = np.where(ae <= delta, 0.5 * e * e, delta * (ae - 0.5 * delta))
-    return float(np.sum(per) / _n_samples(e))
+    return float(np.sum(per) / e.shape[0])
 
 
 def eps_insensitive(e, epsilon: float) -> float:
@@ -144,7 +136,7 @@ def eps_insensitive(e, epsilon: float) -> float:
     if epsilon < 0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
     ae = np.abs(np.atleast_1d(np.asarray(e, dtype=float)))
-    return float(np.sum(np.maximum(ae - epsilon, 0.0)) / _n_samples(ae))
+    return float(np.sum(np.maximum(ae - epsilon, 0.0)) / ae.shape[0])
 
 
 def penalized(base_value: float, w, alpha: float, norm: str = "l2") -> float:
@@ -199,7 +191,7 @@ def loss_gradient(spec: LossSpec, y_true, y_pred, w=None):
         return grad_pred, grad_w
     a, b = _check_shapes(y_true, y_pred)
     e = b - a
-    n = _n_samples(a)
+    n = a.shape[0]
     if isinstance(spec, MSE):
         return (2.0 / n) * e, None
     if isinstance(spec, WeightedMSE):

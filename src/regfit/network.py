@@ -94,7 +94,7 @@ class MLP:
         object.__setattr__(self, "activations", acts)
 
     def predict(self, X) -> np.ndarray:
-        return forward(self, X)[0]
+        return forward(self, X)
 
     def get_params(self) -> np.ndarray:
         return flatten_params(self)
@@ -178,12 +178,10 @@ def _check_width(sizes, X) -> np.ndarray:
     return X
 
 
-def forward(net: MLP, X) -> tuple[np.ndarray, list]:
-    """Run the recursion on a batch; also return the layer outputs
-    [y(1) = X, y(2), ..., y(L)] that the backward sweep reads."""
-    ys = _forward_values(net.weights, net.biases, net.activations,
-                         _check_width(net.layer_sizes, X))
-    return ys[-1], ys
+def forward(net: MLP, X) -> np.ndarray:
+    """Run the recursion on a batch: the output y(L)."""
+    return _forward_values(net.weights, net.biases, net.activations,
+                           _check_width(net.layer_sizes, X))[-1]
 
 
 def _forward_values(Ws, bs, acts, X) -> list:

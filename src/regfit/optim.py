@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, TrainablePredictor
+from .data import Dataset
 from .errors import ValidationError
 from .linear import LinearModel, feature_matrix
 from .losses import LossSpec, loss_gradient, loss_value
@@ -160,7 +160,7 @@ class BatchSchedule:
             raise ValidationError(f"epochs must be positive, got {self.epochs}")
 
 
-def model_gradient(model: TrainablePredictor, X, Y, loss: LossSpec) -> np.ndarray:
+def model_gradient(model: LinearModel | MLP, X, Y, loss: LossSpec) -> np.ndarray:
     """Flat-parameter gradient of the loss for the built-in model kinds.
 
     Linear models chain the loss gradient with the feature matrix
@@ -225,17 +225,17 @@ def train(w0, grad_fn, cost_fn, opt: OptimizerState, sched: BatchSchedule,
 
 
 def minibatch_train(
-    model: TrainablePredictor,
+    model: LinearModel | MLP,
     d: Dataset,
     loss: LossSpec,
     opt: OptimizerState,
     sched: BatchSchedule,
     grad_fn=None,
-) -> tuple[TrainablePredictor, np.ndarray]:
+) -> tuple[LinearModel | MLP, np.ndarray]:
     """Mini-batch training with ``train``; returns (model, per-epoch loss
-    history). An
-    aborted run returns the last finite model and a history shorter than
-    the schedule's epochs.
+    history). Training works on copies, never in place. An aborted run
+    returns the last finite model and a history shorter than the schedule's
+    epochs.
 
     ``grad_fn(model, X_batch, Y_batch) -> flat gradient`` defaults to
     ``model_gradient`` with the given loss. A network without one trains on

@@ -41,10 +41,8 @@ from .losses import MSE
 from .network import MLP, _sweep, flat_objective, flatten_params, forward
 from .optim import BatchSchedule, OptimizerState, train
 
-# hard-constraint satisfaction tolerance (relative) and the jitter tried on
-# a numerically singular KKT block
+# hard-constraint satisfaction tolerance (relative)
 BC_RESIDUAL_RTOL = 1e-8
-KKT_JITTER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,16 +176,29 @@ def boundary_rows(problem: CollocationProblem, basis: BasisSpec):
 
 def _collocation(problem: CollocationProblem, basis: BasisSpec):
     """The interior points x_c, the operator rows L and source g there, and
-    the boundary rows B and values u_b: what both solvers assemble."""
+    the boundary rows B and values u_b: what both solvers assemble. A row
+    with a non-finite entry (a coefficient near the float limit, say) is a
+    NumericalError that names it, raised before any solver sees it."""
     x_c = problem.interior_points(basis.n_basis)
-    return (x_c, *operator_matrix(problem, basis, x_c), *boundary_rows(problem, basis))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        (L, g), (B, u_b) = operator_matrix(problem, basis, x_c), boundary_rows(problem, basis)
+    bad = []
+    for what, ok in (("interior", np.isfinite(L).all(axis=1) & np.isfinite(g)),
+                     ("boundary", np.isfinite(B).all(axis=1) & np.isfinite(u_b))):
+        rows = np.flatnonzero(~ok)
+        if rows.size:
+            more = ", ..." if rows.size > 4 else ""
+            bad.append(f"{what} rows {', '.join(map(str, rows[:4]))}{more} "
+                       f"({rows.size} of {ok.size})")
+    if bad:
+        raise NumericalError(f"collocation {' and '.join(bad)} are not finite")
+    return x_c, L, g, B, u_b
 
 
 def pde_residual(problem: CollocationProblem, basis: BasisSpec, w) -> np.ndarray:
     """Pointwise defect L w - g at the problem's collocation points."""
     w = np.asarray(w, dtype=float).ravel()
-    x = problem.interior_points(basis.n_basis)
-    L, g = operator_matrix(problem, basis, x)
+    _, L, g, _, _ = _collocation(problem, basis)
     return L @ w - g
 
 
@@ -291,6 +302,12 @@ def constrained_solve(
         raise ValidationError(f"{n_eq} hard constraints exceed the {n_b} basis functions")
     rank_B = np.linalg.matrix_rank(B)
     if rank_B < n_eq:
+        distinct = list({(bc.location, bc.kind): k for k, bc in enumerate(problem.boundary)}
+                        .values())
+        if np.linalg.matrix_rank(B[distinct]) < len(distinct):
+            raise ValidationError(
+                f"boundary conditions are linearly dependent: the basis ({n_b} functions) "
+                "cannot separate conditions that differ in location or kind")
         aug_rank = np.linalg.matrix_rank(np.column_stack([B, u_b]))
         if aug_rank > rank_B:
             raise ValidationError("boundary conditions are mutually infeasible")
@@ -303,17 +320,12 @@ def constrained_solve(
         f = f + 2.0 * (Phi.T @ data.targets[:, 0]) / data.n_points
     kkt = np.block([[H, B.T], [B, np.zeros((n_eq, n_eq))]])
     rhs = np.concatenate([f, u_b])
-    try:
+    try:  # nonsingular in exact arithmetic: B has full row rank and H >= 2 alpha_reg I
         sol = solve(kkt, rhs, assume_a="sym")
-    except LinAlgError:
-        kkt_j = np.block([[H + KKT_JITTER * np.eye(n_b), B.T], [B, np.zeros((n_eq, n_eq))]])
-        try:
-            sol = solve(kkt_j, rhs, assume_a="sym")
-        except LinAlgError as exc:
-            raise NumericalError(
-                f"KKT system is singular (rank {np.linalg.matrix_rank(kkt)} "
-                f"of {kkt.shape[0]})"
-            ) from exc
+    except LinAlgError as exc:
+        raise NumericalError(
+            f"KKT system is singular (rank {np.linalg.matrix_rank(kkt)} of {kkt.shape[0]})"
+        ) from exc
     w, lam = sol[:n_b], sol[n_b:]
     bc_defect = float(np.linalg.norm(B @ w - u_b))
     bc_scale = max(1.0, float(np.linalg.norm(u_b)))
@@ -408,9 +420,9 @@ def pinn_cost(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step=1e-3)
     the network's own ``forward``, not the training sweeps, so that tests
     can hold the training gradient against it."""
     X, terms = _stencil(problem, fd_step, alpha_phys)
-    cost = terms(forward(net, X)[0][:, 0])[0]
+    cost = terms(forward(net, X)[:, 0])[0]
     if data is not None:
-        e = forward(net, data.inputs)[0] - data.targets
+        e = forward(net, data.inputs) - data.targets
         cost += float(np.sum(e * e) / data.n_points)
     return cost
 

@@ -269,22 +269,23 @@ def ensemble_predict(xg, weight_population, j_i_mean: float, predict_fn):
     return bagged_band(np.stack(members, axis=-1), j_i_mean)
 
 
-def kfold_indices(n_points: int, n_folds: int, seed: int = 0, shuffle: bool = True):
-    """Partition rows into n_folds folds whose sizes differ by at most 1."""
+def kfold_indices(n_points: int, n_folds: int, seed: int = 0):
+    """Partition a seeded permutation of the rows into n_folds folds whose
+    sizes differ by at most 1."""
     if not 2 <= n_folds <= n_points:
         raise ValidationError(f"fold count must lie in [2, {n_points}], got {n_folds}")
-    rows = np.random.default_rng(seed).permutation(n_points) if shuffle else np.arange(n_points)
+    rows = np.random.default_rng(seed).permutation(n_points)
     return [np.sort(fold) for fold in np.array_split(rows, n_folds)]
 
 
-def kfold_cv(d: Dataset, fit_fn, n_folds: int, seed: int = 0, shuffle: bool = True) -> CVReport:
+def kfold_cv(d: Dataset, fit_fn, n_folds: int, seed: int = 0) -> CVReport:
     """K-fold cross-validation of ``fit_fn(train: Dataset) -> predictor``.
 
     Each fold serves as the test set exactly once; the report carries the
     per-fold out-of-sample MSE together with their mean and std. With
     n_folds = n_p this is leave-one-out.
     """
-    folds = kfold_indices(d.n_points, n_folds, seed, shuffle)
+    folds = kfold_indices(d.n_points, n_folds, seed)
     all_rows = np.arange(d.n_points)
     scores = []
     for fold in folds:
@@ -297,11 +298,11 @@ def kfold_cv(d: Dataset, fit_fn, n_folds: int, seed: int = 0, shuffle: bool = Tr
 
 
 def ridge_cv(d: Dataset, basis: linear.BasisSpec, alpha: float, n_folds: int,
-             seed: int = 0, shuffle: bool = True) -> CVReport:
+             seed: int = 0) -> CVReport:
     """``kfold_cv`` of ``linear.ridge_fit(train, basis, alpha)``: the same
     folds and bit-identical scores, from one feature matrix and one stacked
     ridge solve per run of equal-size folds."""
-    folds = kfold_indices(d.n_points, n_folds, seed, shuffle)
+    folds = kfold_indices(d.n_points, n_folds, seed)
     fold_of = np.empty(d.n_points, dtype=int)
     for k, fold in enumerate(folds):
         fold_of[fold] = k

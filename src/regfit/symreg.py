@@ -7,9 +7,10 @@ whenever |denominator| < 1e-12, and every node output is clamped to
 +-1e300, so evaluation is total: finite inputs can never produce a
 non-finite prediction.
 
-A tree is a flat tuple of ``(op, payload)`` nodes in prefix order, as in
-DEAP's ``PrimitiveTree`` (Fortin et al. 2012, JMLR 13:2171); the payload is
-the variable index, the constant value, or None for a function node. Size
+A tree is a plain tuple of ``(op, payload)`` nodes in prefix order, as in
+DEAP's ``PrimitiveTree`` (Fortin et al. 2012, JMLR 13:2171), built and
+checked by ``var``, ``const`` and ``node``; the payload is the variable
+index, the constant value, or None for a function node. Size
 is the tuple's length, a subtree is a slice, crossover and mutation are
 splices, and evaluation and printing are one bottom-up fold.
 
@@ -50,39 +51,32 @@ _FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ExprTree:
-    """Prefix-ordered ``(op, payload)`` nodes; build with ``var``, ``const``, ``node``."""
-
-    nodes: tuple
-
-
-def var(i: int) -> ExprTree:
+def var(i: int) -> tuple:
     if i is None or i < 0:
         raise ValidationError("variable terminals need a nonnegative index")
-    return ExprTree((("var", i),))
+    return (("var", i),)
 
 
-def const(v: float) -> ExprTree:
+def const(v: float) -> tuple:
     v = float(v)
     if not np.isfinite(v):
         raise ValidationError("constant terminals need a finite value")
-    return ExprTree((("const", v),))
+    return (("const", v),)
 
 
-def node(op: str, *children: ExprTree) -> ExprTree:
+def node(op: str, *children: tuple) -> tuple:
     if op not in ARITY or op in TERMINALS:
         raise ValidationError(f"unknown function node kind {op!r}")
     if len(children) != ARITY[op]:
         raise ValidationError(f"{op} takes {ARITY[op]} children, got {len(children)}")
-    return ExprTree(((op, None),) + tuple(n for c in children for n in c.nodes))
+    return ((op, None),) + sum(children, ())
 
 
-def _fold(t: ExprTree, leaf, combine):
+def _fold(t: tuple, leaf, combine):
     """Bottom-up fold: ``leaf(op, payload)`` values a terminal and
     ``combine(op, args)`` a function node from its children's values."""
     stack = []
-    for op, payload in reversed(t.nodes):
+    for op, payload in reversed(t):
         if payload is None:
             stack.append(combine(op, [stack.pop() for _ in range(ARITY[op])]))
         else:
@@ -90,7 +84,7 @@ def _fold(t: ExprTree, leaf, combine):
     return stack[0]
 
 
-def eval_tree(t: ExprTree, X) -> np.ndarray:
+def eval_tree(t: tuple, X) -> np.ndarray:
     """Evaluate the tree at every input row; always finite (see module doc)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
 
@@ -110,35 +104,35 @@ def eval_tree(t: ExprTree, X) -> np.ndarray:
         return _fold(t, leaf, combine)
 
 
-def _depths(t: ExprTree) -> list:
+def _depths(t: tuple) -> list:
     """Depth of every node in prefix order (edges from the root)."""
     pending, out = [0], []
-    for op, _ in t.nodes:
+    for op, _ in t:
         d = pending.pop()
         out.append(d)
         pending.extend([d + 1] * ARITY[op])
     return out
 
 
-def tree_depth(t: ExprTree) -> int:
+def tree_depth(t: tuple) -> int:
     """Edges from the root to the deepest leaf; a single terminal is 0."""
     return max(_depths(t))
 
 
-def tree_size(t: ExprTree) -> int:
-    return len(t.nodes)
+def tree_size(t: tuple) -> int:
+    return len(t)
 
 
 def _leaf_text(op, payload) -> str:
     return f"x{payload}" if op == "var" else repr(payload)
 
 
-def to_prefix(t: ExprTree) -> str:
+def to_prefix(t: tuple) -> str:
     """Parenthesized prefix form, e.g. (add (mul x0 x0) x0)."""
     return _fold(t, _leaf_text, lambda op, args: f"({op} {' '.join(args)})")
 
 
-def to_infix(t: ExprTree) -> str:
+def to_infix(t: tuple) -> str:
     """Human-readable infix form with full parenthesization."""
     def combine(op, args):
         if op in _INFIX:
@@ -147,18 +141,18 @@ def to_infix(t: ExprTree) -> str:
     return _fold(t, _leaf_text, combine)
 
 
-def _subtree_end(t: ExprTree, i: int) -> int:
+def _subtree_end(t: tuple, i: int) -> int:
     """One past the last node of the subtree rooted at node i."""
     open_slots = 1
     while open_slots:
-        open_slots += ARITY[t.nodes[i][0]] - 1
+        open_slots += ARITY[t[i][0]] - 1
         i += 1
     return i
 
 
-def _splice(t: ExprTree, i: int, repl: tuple) -> ExprTree:
+def _splice(t: tuple, i: int, repl: tuple) -> tuple:
     """``t`` with the subtree at node i replaced by the nodes ``repl``."""
-    return ExprTree(t.nodes[:i] + repl + t.nodes[_subtree_end(t, i):])
+    return t[:i] + repl + t[_subtree_end(t, i):]
 
 
 @dataclass(frozen=True)
@@ -205,14 +199,14 @@ class GPConfig:
         return tuple(p for p in self.primitives if p in TERMINALS)
 
 
-def _random_terminal(rng, terminals, n_inputs) -> ExprTree:
+def _random_terminal(rng, terminals, n_inputs) -> tuple:
     kind = terminals[rng.integers(len(terminals))]
     if kind == "var":
         return var(int(rng.integers(n_inputs)))
     return const(rng.uniform(*CONST_RANGE))
 
 
-def random_tree(rng, cfg: GPConfig, n_inputs: int, depth: int, full: bool) -> ExprTree:
+def random_tree(rng, cfg: GPConfig, n_inputs: int, depth: int, full: bool) -> tuple:
     """Grow ('full'=False) or full-method random tree of depth <= depth."""
     funcs = cfg.functions
     if depth <= 0 or not funcs or (not full and rng.random() < 0.3):
@@ -221,28 +215,28 @@ def random_tree(rng, cfg: GPConfig, n_inputs: int, depth: int, full: bool) -> Ex
     return node(op, *(random_tree(rng, cfg, n_inputs, depth - 1, full) for _ in range(ARITY[op])))
 
 
-def crossover(t1: ExprTree, t2: ExprTree, rng, max_depth: int = 17) -> tuple[ExprTree, ExprTree]:
+def crossover(t1: tuple, t2: tuple, rng, max_depth: int = 17) -> tuple[tuple, tuple]:
     """Swap uniformly chosen subtrees; offspring deeper than max_depth are
     rejected and, after a few retries, the parents come back unchanged."""
     for _ in range(CROSSOVER_RETRIES):
-        i = int(rng.integers(len(t1.nodes)))
-        j = int(rng.integers(len(t2.nodes)))
-        c1 = _splice(t1, i, t2.nodes[j:_subtree_end(t2, j)])
-        c2 = _splice(t2, j, t1.nodes[i:_subtree_end(t1, i)])
+        i = int(rng.integers(len(t1)))
+        j = int(rng.integers(len(t2)))
+        c1 = _splice(t1, i, t2[j:_subtree_end(t2, j)])
+        c2 = _splice(t2, j, t1[i:_subtree_end(t1, i)])
         if tree_depth(c1) <= max_depth and tree_depth(c2) <= max_depth:
             return c1, c2
     return t1, t2
 
 
-def mutate(t: ExprTree, rng, cfg: GPConfig, n_inputs: int) -> ExprTree:
+def mutate(t: tuple, rng, cfg: GPConfig, n_inputs: int) -> tuple:
     """Replace a uniformly chosen node by a freshly grown subtree that fits
     the remaining depth budget."""
-    i = int(rng.integers(len(t.nodes)))
+    i = int(rng.integers(len(t)))
     budget = cfg.max_depth - _depths(t)[i]
-    return _splice(t, i, random_tree(rng, cfg, n_inputs, budget, full=False).nodes)
+    return _splice(t, i, random_tree(rng, cfg, n_inputs, budget, full=False))
 
 
-def evolve(d: Dataset, cfg: GPConfig) -> tuple[ExprTree, np.ndarray]:
+def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
     """Run the genetic program; returns the best-ever tree and a
     (generations x 2) history of [best-so-far fitness, mean fitness].
 
@@ -267,11 +261,11 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[ExprTree, np.ndarray]:
     cache = {}
 
     def fitness(t):
-        if t.nodes not in cache:
+        if t not in cache:
             with np.errstate(over="ignore", invalid="ignore"):
                 f = mse(y, eval_tree(t, X))
-            cache[t.nodes] = f if np.isfinite(f) else np.inf
-        return cache[t.nodes]
+            cache[t] = f if np.isfinite(f) else np.inf
+        return cache[t]
 
     def key(idx, fit):
         return (fit[idx], tree_size(population[idx]), idx)

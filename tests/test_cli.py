@@ -327,16 +327,45 @@ def _cli_process(args):
      "--test-fraction must be a finite number, got nan"),
     (["bootstrap", "--mode", "replacement", "--test-fraction", -0.2],
      "test_fraction must lie in [0, 1), got -0.2"),
+    (["pde-solve", "--problem", "PROBLEM", "--centers", -1], "--centers must be at least 1, got -1"),
+    (["pde-solve", "--problem", "PROBLEM", "--samples", -1], "--samples must be at least 1, got -1"),
+    (["pde-solve", "--problem", "PROBLEM", "--samples", 0], "--samples must be at least 1, got 0"),
+    (["fit", "--model", "ridge", "--rbf-centers", -2], "--rbf-centers must be at least 1, got -2"),
+    (["cv", "--rbf-centers", -2], "--rbf-centers must be at least 1, got -2"),
+    (["bootstrap", "--rbf-centers", -2], "--rbf-centers must be at least 1, got -2"),
+    (["fit", "--model", "lasso", "--max-iters", 0],
+     "lasso needs max_iters >= 1 and tol >= 0, got max_iters=0"),
+    (["fit", "--model", "lasso", "--tol", -0.001],
+     "lasso needs max_iters >= 1 and tol >= 0, got max_iters=5000, tol=-0.001"),
 ], ids=["ridge-alpha-nan", "lasso-alpha-nan", "mlp-eta-inf", "gpr-noise-nan",
         "krr-kernel-offset-nan", "replacement-test-fraction-nan",
-        "replacement-test-fraction-negative"])
-def test_non_finite_or_out_of_range_option_exits_1(data_csv, tmp_path, args, needle):
+        "replacement-test-fraction-negative", "pde-centers-negative", "pde-samples-negative",
+        "pde-samples-zero", "fit-rbf-centers-negative", "cv-rbf-centers-negative",
+        "bootstrap-rbf-centers-negative", "lasso-max-iters-zero", "lasso-tol-negative"])
+def test_non_finite_or_out_of_range_option_exits_1(data_csv, poisson_json, tmp_path, args,
+                                                   needle):
     out = tmp_path / "o"
+    args = [poisson_json if a == "PROBLEM" else a for a in args]
     proc = _cli_process([*args, "--input", data_csv, "--output", out])
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and needle in proc.stderr, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
-    assert not (out / "model.json").exists()
+    assert not (out / "model.json").exists() and not (out / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["kkt", "penalty"])
+def test_non_finite_collocation_rows_exit_2(tmp_path, mode):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "domain": [0.0, 1.0], "a": 1e308,
+        "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0},
+                     {"location": 1.0, "kind": "dirichlet", "value": 0.0}]}))
+    out = tmp_path / "o"
+    proc = _cli_process(["pde-solve", "--problem", problem, "--mode", mode, "--output", out])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("numerical failure: collocation interior rows 0, 1, 2, 3, ... "
+                           "(80 of 80) are not finite\n")
+    assert not (out / "solution.csv").exists()
 
 
 def test_argparse_usage_errors_keep_exit_2(data_csv, tmp_path):

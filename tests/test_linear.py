@@ -127,6 +127,12 @@ class TestLasso:
                 objs.append(linear.lasso_objective(Phi, d.targets, m.weights, 0.05))
         assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
 
+    @pytest.mark.parametrize("max_iters, tol", [(0, 1e-10), (-3, 1e-10), (10, -1e-3)])
+    def test_iteration_budget_and_tolerance_validated(self, max_iters, tol):
+        d = Dataset(np.linspace(-1, 1, 10)[:, None], np.ones((10, 1)))
+        with pytest.raises(ValidationError, match="max_iters >= 1 and tol >= 0"):
+            linear.lasso_fit(d, linear.Polynomial(1), 0.01, max_iters=max_iters, tol=tol)
+
     def test_nonconvergence_warns(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, (20, 1))

@@ -198,6 +198,14 @@ def test_forward_is_rowwise_independent():
     np.testing.assert_array_equal(net.predict(X)[perm], net.predict(X[perm]))
 
 
+def test_forward_returns_the_output():
+    net = network.init_mlp([2, 4, 3], seed=6)
+    X = np.random.default_rng(6).standard_normal((5, 2))
+    out = network.forward(net, X)
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(out, net.predict(X))
+
+
 def test_forward_width_mismatch():
     net = network.init_mlp([2, 3, 1], seed=0)
     with pytest.raises(ValidationError):

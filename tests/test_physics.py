@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from regfit import linear, losses, network, optim, physics
 from regfit.data import Dataset
-from regfit.errors import ValidationError
+from regfit.errors import NumericalError, ValidationError
 
 
 def _affine_problem(source=0.0, bc=((0.0, "dirichlet", 0.0), (1.0, "dirichlet", 1.0))):
@@ -174,6 +175,22 @@ class TestConstrainedSolve:
                                                (0.0, "dirichlet", 1.0)))
         with pytest.raises(ValidationError, match="infeasible"):
             physics.constrained_solve(prob, linear.Polynomial(3), 1e-8)
+
+    def test_duplicate_constraints_called_redundant(self):
+        prob = _affine_problem(source=0.0, bc=((0.0, "dirichlet", 1.0),
+                                               (0.0, "dirichlet", 1.0)))
+        with pytest.raises(ValidationError, match="redundant"):
+            physics.constrained_solve(prob, linear.Polynomial(3), 1e-8)
+
+    @pytest.mark.parametrize("bc", [
+        ((0.0, "neumann", 0.0), (1.0, "neumann", 1.0)),  # u' is one constant on a line
+        ((0.0, "neumann", 1.0), (1.0, "neumann", 1.0)),  # the same, consistent values
+    ], ids=["conflicting-values", "consistent-values"])
+    def test_distinct_constraints_the_basis_cannot_separate(self, bc):
+        prob = _affine_problem(source=0.0, bc=bc)
+        with pytest.raises(ValidationError, match=r"the basis \(2 functions\) cannot "
+                                                  "separate conditions that differ"):
+            physics.constrained_solve(prob, linear.Polynomial(1), 1e-8)
 
     def test_too_many_constraints_rejected(self):
         prob = _affine_problem(source=0.0, bc=((0.0, "dirichlet", 0.0),
@@ -453,3 +470,24 @@ def test_coefficient_specs_evaluate_whole_arrays():
 def test_coefficient_spec_errors_name_the_coefficient(spec, message):
     with pytest.raises(ValidationError, match=message):
         physics.coefficient_from_spec(spec, "a")
+
+
+@pytest.mark.parametrize("solver", [
+    lambda p, b: physics.constrained_solve(p, b, 1e-8),
+    lambda p, b: physics.penalized_fit(None, physics.PhysicsCost(p, 1.0), b),
+    lambda p, b: physics.physics_residual_norm(p, b, np.zeros(b.n_basis)),
+    lambda p, b: physics.pde_residual(p, b, np.zeros(b.n_basis)),
+], ids=["kkt", "penalty", "residual-norm", "pde-residual"])
+def test_non_finite_collocation_rows_are_named_before_any_solve(solver):
+    # a = 1e308 times the Gaussians' second derivatives overflows every interior row
+    problem = physics.problem_from_dict({
+        "domain": [0.0, 1.0], "a": 1e308,
+        "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0},
+                     {"location": 1.0, "kind": "dirichlet", "value": 1.0}]})
+    basis = linear.GaussianRBF(np.linspace(0.0, 1.0, 6)[:, None], np.full(6, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=r"collocation interior rows 0, 1, 2, 3, \.\.\. \(12 of 12\) "
+                                 "are not finite"):
+            solver(problem, basis)

@@ -163,11 +163,6 @@ class TestKFold:
             assert allidx.size == n
             np.testing.assert_array_equal(np.sort(allidx), np.arange(n))
 
-    def test_unshuffled_folds_are_contiguous(self):
-        folds = resampling.kfold_indices(6, 3, shuffle=False)
-        np.testing.assert_array_equal(folds[0], [0, 1])
-        np.testing.assert_array_equal(folds[2], [4, 5])
-
     def test_report_mean_std(self):
         d = _noisy_data(40, seed=6)
         report = resampling.kfold_cv(d, lambda t: _line_fit(t)[1], 5, seed=1)

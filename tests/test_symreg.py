@@ -152,6 +152,10 @@ def test_config_validation():
         symreg.GPConfig(population_size=1)
 
 
+def test_trees_are_bare_prefix_tuples():
+    assert node("add", var(0), const(1.0)) == (("add", None), ("var", 0), ("const", 1.0))
+
+
 def test_tree_validation():
     with pytest.raises(ValidationError):
         node("add", var(0))  # arity violation
