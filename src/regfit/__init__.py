@@ -14,12 +14,11 @@ Subpackages by concern:
 * ``cli``        the ``regfit`` command-line front end
 """
 
-from .data import Dataset, SplitIndices, generate_fig2_like, load_csv, save_csv, train_test_split
+from .data import Dataset, generate_fig2_like, load_csv, save_csv, train_test_split
 from .errors import NumericalError, ValidationError
 
 __all__ = [
     "Dataset",
-    "SplitIndices",
     "generate_fig2_like",
     "load_csv",
     "save_csv",

@@ -8,7 +8,8 @@ tables are CSV; every JSON report is one envelope (``schema_version`` 1,
 accept to what it builds. Exit codes: 0 success, 1 validation error (a NaN
 or infinite float option among them), 2 numerical failure (a diverged
 ``fit --model mlp`` among them: no model is written); argparse's own usage
-errors exit 2.
+errors exit 2. A refused command creates no output directory. A library
+warning is printed as one ``warning: <message>`` line and does not fail a run.
 
 Wall-clock timing is reported only when --with-timing is passed (the field
 is null otherwise) so that default outputs stay reproducible.
@@ -20,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _outdir(args) -> Path:
+    """The --output directory; commands create it once their first artifact is ready."""
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -80,6 +83,9 @@ def _standardizer(d: Dataset):
 def _apply_standardize(doc, X):
     if not doc:
         return X
+    if len(doc["mean"]) != X.shape[1]:
+        raise ValidationError(f"the model's standardize statistics cover {len(doc['mean'])} "
+                              f"input columns, but --input has {X.shape[1]}")
     return (X - np.asarray(doc["mean"])) / np.asarray(doc["std"])
 
 
@@ -91,32 +97,36 @@ def _count(args, dest: str) -> int:
     return n
 
 
-def _rbf_grid(lo, hi, n, shape) -> linear.GaussianRBF:
-    """n Gaussians centred on an equispaced grid over [lo, hi], all of shape
-    ``shape``; shape 0 picks ``default_rbf_shapes``."""
+def _rbf_grid(lo, hi, args, count: str, shape: str) -> linear.GaussianRBF:
+    """The count option's number of Gaussians centred on an equispaced grid
+    over [lo, hi], all of the shape option's value; shape 0 picks
+    ``default_rbf_shapes``, which needs two or more centers."""
+    n, c = _count(args, count), getattr(args, shape)
+    if n == 1 and not c:
+        raise ValidationError(f"--{count.replace('_', '-')} 1 needs --{shape.replace('_', '-')}: "
+                              "the default shape comes from the spacing of two or more centers")
     centers = np.linspace(lo, hi, n)[:, None]
-    return linear.GaussianRBF(centers, shape or linear.default_rbf_shapes(centers))
+    return linear.GaussianRBF(centers, c or linear.default_rbf_shapes(centers))
 
 
 def _basis_from_args(args, d: Dataset) -> linear.BasisSpec:
     if args.rbf_centers:
         if d.n_inputs != 1:
             raise ValidationError("--rbf-centers places centers over a 1-D input range")
-        return _rbf_grid(float(d.inputs.min()), float(d.inputs.max()),
-                         _count(args, "rbf_centers"), args.rbf_shape)
+        return _rbf_grid(float(d.inputs.min()), float(d.inputs.max()), args,
+                         "rbf_centers", "rbf_shape")
     return linear.Polynomial(args.degree)
 
 
 def cmd_gen_data(args) -> int:
-    out = _outdir(args)
     d = generate_fig2_like(args.n_points, args.seed)
+    out = _outdir(args)
     save_csv(d, out / "data.csv")
     _write_report(out / "report.json", args, {"n_points": d.n_points})
     return 0
 
 
 def cmd_fit(args) -> int:
-    out = _outdir(args)
     started = time.perf_counter()
     d = load_csv(args.input)
     loss = losses.parse_loss_spec(args.loss)
@@ -164,6 +174,7 @@ def cmd_fit(args) -> int:
     doc = model.to_dict()
     if standardize_doc:
         doc["standardize"] = standardize_doc
+    out = _outdir(args)
     _write_json(out / "model.json", doc)
     if history is not None:
         _write_csv(out / "history.csv", ["epoch", "loss"],
@@ -178,17 +189,16 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_model(path):
-    return load_json_file(path, lambda doc: (doc, _model_from_dict(doc)))
-
-
 def _model_from_dict(doc):
     """The model a stored document describes; for a bagged ensemble, its basis."""
     require_keys(doc, ("kind",), "model")
     if doc.get("standardize"):
         require_keys(doc["standardize"], ("mean", "std"), "standardize")
-        for key in ("mean", "std"):
-            as_number_array(doc["standardize"][key], f"standardize key {key!r}")
+        mean, std = (as_number_array(doc["standardize"][key], f"standardize key {key!r}",
+                                     vector=True) for key in ("mean", "std"))
+        if mean.size != std.size or not (std > 0).all():
+            raise ValidationError("standardize keys 'mean' and 'std' must have equal lengths "
+                                  "and every std above 0")
     kind = doc["kind"]
     if kind == "linear":
         return linear.LinearModel.from_dict(doc)
@@ -210,8 +220,7 @@ def _model_from_dict(doc):
 
 
 def cmd_predict(args) -> int:
-    out = _outdir(args)
-    doc, model = _load_model(args.model_file)
+    doc, model = load_json_file(args.model_file, lambda doc: (doc, _model_from_dict(doc)))
     X = load_inputs_csv(args.input)
     Xs = _apply_standardize(doc.get("standardize"), X)
     unc = None
@@ -232,16 +241,15 @@ def cmd_predict(args) -> int:
     if unc is not None:
         header.append("y_unc")
         rows = np.column_stack([rows, unc])
-    _write_csv(out / "predictions.csv", header, rows)
+    _write_csv(_outdir(args) / "predictions.csv", header, rows)
     return 0
 
 
 def cmd_cv(args) -> int:
-    out = _outdir(args)
     d = load_csv(args.input)
     basis = _basis_from_args(args, d)
-
     report = resampling.ridge_cv(d, basis, args.alpha, args.folds, seed=args.seed)
+    out = _outdir(args)
     _write_csv(out / "folds.csv", ["fold", "J_o"],
                [(k, v) for k, v in enumerate(report.per_fold_mse)])
     _write_report(out / "summary.json", args, {
@@ -253,7 +261,6 @@ def cmd_cv(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    out = _outdir(args)
     d = load_csv(args.input)
     if d.n_outputs != 1:
         raise ValidationError("bootstrap ensembles support a single target column")
@@ -262,6 +269,7 @@ def cmd_bootstrap(args) -> int:
         d, basis, 0.0, args.members,
         test_fraction=args.test_fraction, mode=args.mode, seed=args.seed,
     )
+    out = _outdir(args)
     _write_csv(out / "members.csv", ["member", "J_i", "J_o"],
                [(j, result.in_sample_mse[j], result.out_sample_mse[j])
                 for j in range(result.n_members)])
@@ -282,11 +290,10 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_pde_solve(args) -> int:
-    out = _outdir(args)
     n_samples = _count(args, "samples")
     problem = physics.load_problem(args.problem)
     lo, hi = problem.domain
-    basis = _rbf_grid(lo, hi, _count(args, "centers"), args.shape)
+    basis = _rbf_grid(lo, hi, args, "centers", "shape")
     data = load_csv(args.input) if args.input else None
     if args.mode == "kkt":
         solution = physics.constrained_solve(problem, basis, args.alpha_reg, data)
@@ -296,8 +303,7 @@ def cmd_pde_solve(args) -> int:
             "boundary_defect": solution.constraint_residual_norm,
         }
     else:
-        cost = physics.PhysicsCost(problem, args.alpha_phys)
-        model = physics.penalized_fit(data, cost, basis, args.alpha_reg)
+        model = physics.penalized_fit(data, problem, basis, args.alpha_phys, args.alpha_reg)
         w = model.get_params()
         B, u_b = physics.boundary_rows(problem, basis)
         extra = {"boundary_defect": float(np.linalg.norm(B @ w - u_b))}
@@ -305,6 +311,7 @@ def cmd_pde_solve(args) -> int:
     x_c = problem.interior_points(args.centers)
     xs = np.linspace(lo, hi, n_samples)
     u = linear.LinearModel(basis, w[:, None]).predict(xs[:, None])[:, 0]
+    out = _outdir(args)
     _write_csv(out / "solution.csv", ["x", "u"], np.column_stack([xs, u]))
     _write_csv(out / "residuals.csv", ["x", "residual"], np.column_stack([x_c, residual]))
     _write_report(out / "residuals.json", args, {
@@ -320,7 +327,6 @@ def cmd_pde_solve(args) -> int:
 
 
 def cmd_symreg(args) -> int:
-    out = _outdir(args)
     d = load_csv(args.input)
     cfg = symreg.GPConfig(
         primitives=tuple(args.primitives.split(",")),
@@ -331,6 +337,7 @@ def cmd_symreg(args) -> int:
         seed=args.seed,
     )
     best, history = symreg.evolve(d, cfg)
+    out = _outdir(args)
     (out / "expression.txt").write_text(
         f"{symreg.to_prefix(best)}\n{symreg.to_infix(best)}\n"
     )
@@ -448,17 +455,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        for dest, value in vars(args).items():  # NaN or inf in a float option
-            if isinstance(value, float):
-                as_number(value, "--" + dest.replace("_", "-"))
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalError, LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # how a warning is shown, not which ones are
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            for dest, value in vars(args).items():  # NaN or inf in a float option
+                if isinstance(value, float):
+                    as_number(value, "--" + dest.replace("_", "-"))
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (NumericalError, LinAlgError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
 
 
 def console_main() -> None:

@@ -90,19 +90,6 @@ class Dataset:
         return Dataset(self.inputs[idx], self.targets[idx])
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """Row indices of a train/test split.
-
-    For partition-style splits the two sides are disjoint and cover all
-    rows; in bootstrap-with-replacement mode ``train`` may contain
-    duplicates and ``test`` holds the rows that were never drawn.
-    """
-
-    train: np.ndarray
-    test: np.ndarray
-
-
 _COLUMN_RE = re.compile(r"([xy])(\d+)")
 
 # Rows formatted per write call: bounds the writer's memory to one chunk's
@@ -247,8 +234,9 @@ def save_csv(d: Dataset, path) -> None:
     _write_table(path, header, (d.inputs, d.targets), "\r\n")
 
 
-def split_indices(n_points: int, test_fraction: float, seed: int) -> SplitIndices:
-    """Disjoint random row partition with |test| = round(test_fraction * n)."""
+def split_indices(n_points: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint random row partition ``(train, test)``, each sorted, with
+    |test| = round(test_fraction * n)."""
     if not 0.0 <= test_fraction < 1.0:
         raise ValidationError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     n_test = int(np.rint(test_fraction * n_points))
@@ -257,7 +245,7 @@ def split_indices(n_points: int, test_fraction: float, seed: int) -> SplitIndice
             f"test_fraction={test_fraction} leaves an empty training set for n={n_points}"
         )
     perm = np.random.default_rng(seed).permutation(n_points)
-    return SplitIndices(train=np.sort(perm[n_test:]), test=np.sort(perm[:n_test]))
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
 def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -266,9 +254,8 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     Returns ``(train, test)``; ``test`` is None when the fraction rounds to
     an empty test set.
     """
-    idx = split_indices(d.n_points, test_fraction, seed)
-    test = d.take(idx.test) if idx.test.size else None
-    return d.take(idx.train), test
+    train, test = split_indices(d.n_points, test_fraction, seed)
+    return d.take(train), d.take(test) if test.size else None
 
 
 def generate_fig2_like(n_points: int, seed: int) -> Dataset:

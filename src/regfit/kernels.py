@@ -41,12 +41,7 @@ DIAGONAL_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Marker base class for kernel functions."""
-
-
-@dataclass(frozen=True)
-class GaussianKernel(KernelSpec):
+class GaussianKernel:
     gamma: float
 
     def __post_init__(self):
@@ -55,12 +50,12 @@ class GaussianKernel(KernelSpec):
 
 
 @dataclass(frozen=True)
-class LinearKernel(KernelSpec):
+class LinearKernel:
     pass
 
 
 @dataclass(frozen=True)
-class PolynomialKernel(KernelSpec):
+class PolynomialKernel:
     degree: int
     offset: float = 0.0
 
@@ -69,6 +64,9 @@ class PolynomialKernel(KernelSpec):
             raise ValidationError(f"degree must be >= 1, got {self.degree}")
         if self.offset < 0:
             raise ValidationError(f"offset must be nonnegative, got {self.offset}")
+
+
+KernelSpec = GaussianKernel | LinearKernel | PolynomialKernel
 
 
 def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -172,13 +170,6 @@ def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
     return A
 
 
-def _whiten(factor, K_qt: np.ndarray) -> np.ndarray:
-    """v = L^-1 K(t, q) for a factor from ``_factor_regularized_kernel``, so
-    that K(q, t) (K(t, t) + reg I)^-1 K(t, q) = v^T v."""
-    L, lower = factor
-    return solve_triangular(L, K_qt.T, lower=lower)
-
-
 def woodbury_discrepancy(Phi, alpha: float) -> float:
     """Max-abs difference between the two matrix-inversion-lemma forms
     (Phi^T Phi + a I_b)^-1 Phi^T and Phi^T (Phi Phi^T + a I_n)^-1,
@@ -248,7 +239,7 @@ def gpr_posterior(
     K_qt = kernel_matrix(kernel, Xq, d.inputs)
     factor = _factor_regularized_kernel(K_tt, noise_variance)
     mean = K_qt @ cho_solve(factor, d.targets)
-    v = _whiten(factor, K_qt)
+    v = solve_triangular(factor[0], K_qt.T, lower=True)
     cov = K_qq - v.T @ v
     return GPRPosterior(mean, _clamp_negative_eigenvalues(cov), noise_variance)
 
@@ -295,7 +286,8 @@ class KernelModel:
         Xq = np.atleast_2d(np.asarray(X, dtype=float))
         K_qt = kernel_matrix(self.kernel, Xq, self.train_inputs)
         K_tt = kernel_matrix(self.kernel, self.train_inputs, self.train_inputs)
-        v = _whiten(_factor_regularized_kernel(K_tt, self.regularizer), K_qt)
+        L, _ = _factor_regularized_kernel(K_tt, self.regularizer)
+        v = solve_triangular(L, K_qt.T, lower=True)
         var = kernel_diag(self.kernel, Xq) - np.einsum("ij,ij->j", v, v)
         return K_qt @ self.dual_coef, np.maximum(var, 0.0)
 

@@ -28,12 +28,7 @@ CONDITION_WARN_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
-class BasisSpec:
-    """Marker base class for feature-matrix builders."""
-
-
-@dataclass(frozen=True)
-class Polynomial(BasisSpec):
+class Polynomial:
     degree: int
 
     def __post_init__(self):
@@ -46,7 +41,7 @@ class Polynomial(BasisSpec):
 
 
 @dataclass(frozen=True)
-class GaussianRBF(BasisSpec):
+class GaussianRBF:
     """Gaussian bumps centred on the rows of ``centers`` (n_b x n_x)."""
 
     centers: np.ndarray
@@ -73,6 +68,9 @@ class GaussianRBF(BasisSpec):
     @property
     def n_basis(self) -> int:
         return self.centers.shape[0]
+
+
+BasisSpec = Polynomial | GaussianRBF
 
 
 def default_rbf_shapes(centers) -> np.ndarray:

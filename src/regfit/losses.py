@@ -17,17 +17,12 @@ from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """Marker base class; concrete variants below."""
-
-
-@dataclass(frozen=True)
-class MSE(LossSpec):
+class MSE:
     pass
 
 
 @dataclass(frozen=True)
-class WeightedMSE(LossSpec):
+class WeightedMSE:
     """Quadratic form weighted by the inverse of a SPD covariance matrix."""
 
     covariance: np.ndarray
@@ -48,7 +43,7 @@ class WeightedMSE(LossSpec):
 
 
 @dataclass(frozen=True)
-class Huber(LossSpec):
+class Huber:
     delta: float
 
     def __post_init__(self):
@@ -57,7 +52,7 @@ class Huber(LossSpec):
 
 
 @dataclass(frozen=True)
-class EpsilonInsensitive(LossSpec):
+class EpsilonInsensitive:
     epsilon: float
 
     def __post_init__(self):
@@ -66,7 +61,7 @@ class EpsilonInsensitive(LossSpec):
 
 
 @dataclass(frozen=True)
-class Penalized(LossSpec):
+class Penalized:
     """A base loss plus alpha * ||w||_2^2 (norm='l2') or alpha * ||w||_1 ('l1')."""
 
     base: LossSpec
@@ -80,6 +75,9 @@ class Penalized(LossSpec):
             raise ValidationError(f"penalty norm must be 'l1' or 'l2', got {self.norm!r}")
         if isinstance(self.base, Penalized):
             raise ValidationError("nested penalties are not supported")
+
+
+LossSpec = MSE | WeightedMSE | Huber | EpsilonInsensitive | Penalized
 
 
 def _check_shapes(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,12 +40,7 @@ from .network import MLP, backprop, flat_objective
 
 
 @dataclass(frozen=True)
-class OptimizerState:
-    """Marker base class; concrete rules below."""
-
-
-@dataclass(frozen=True)
-class GD(OptimizerState):
+class GD:
     eta: float = 1e-3
 
     def __post_init__(self):
@@ -53,7 +48,7 @@ class GD(OptimizerState):
 
 
 @dataclass(frozen=True)
-class Momentum(OptimizerState):
+class Momentum:
     eta: float = 1e-3
     beta: float = 0.9
     m: np.ndarray | None = None
@@ -64,7 +59,7 @@ class Momentum(OptimizerState):
 
 
 @dataclass(frozen=True)
-class RMSProp(OptimizerState):
+class RMSProp:
     eta: float = 1e-3
     beta: float = 0.9
     eps: float = 1e-8
@@ -77,7 +72,7 @@ class RMSProp(OptimizerState):
 
 
 @dataclass(frozen=True)
-class Adam(OptimizerState):
+class Adam:
     eta: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -93,6 +88,9 @@ class Adam(OptimizerState):
         _check_eps(self.eps)
         if self.i < 1:
             raise ValidationError(f"adam step counter starts at 1, got {self.i}")
+
+
+OptimizerState = GD | Momentum | RMSProp | Adam
 
 
 def _check_eta(eta):

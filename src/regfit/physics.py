@@ -12,10 +12,10 @@ vector that the solvers drive toward zero.
 Two fusion strategies are implemented on top of the shared residual
 machinery (one assembly of the interior and boundary rows):
 
-* ``penalized_fit`` minimizes a ``PhysicsCost``: the data MSE plus
-  ``alpha_phys`` times the squared residuals (interior and boundary), a
-  quadratic it solves in closed form; boundary conditions are only met
-  approximately, ever more tightly as the weight grows.
+* ``penalized_fit`` minimizes the data MSE plus ``alpha_phys`` times the
+  squared residuals (interior and boundary), a quadratic it solves in
+  closed form; boundary conditions are only met approximately, ever more
+  tightly as the weight grows.
 * ``constrained_solve`` enforces the boundary rows exactly through Lagrange
   multipliers, reducing to a symmetric indefinite KKT linear system; the
   interior residual stays in the quadratic objective.
@@ -94,19 +94,6 @@ class CollocationProblem:
             return self.collocation_points
         lo, hi = self.domain
         return np.linspace(lo, hi, 2 * n_basis + 2)[1:-1]
-
-
-@dataclass(frozen=True)
-class PhysicsCost:
-    """The cost ``penalized_fit`` minimizes for one collocation problem:
-    the data MSE + alpha_phys * the physics residual cost."""
-
-    problem: CollocationProblem
-    alpha_phys: float
-
-    def __post_init__(self):
-        if self.alpha_phys < 0:
-            raise ValidationError(f"alpha_phys must be nonnegative, got {self.alpha_phys}")
 
 
 @dataclass(frozen=True)
@@ -221,8 +208,9 @@ def physics_residual_norm(problem: CollocationProblem, basis: BasisSpec, w) -> f
 
 def penalized_fit(
     d: Dataset | None,
-    cost: PhysicsCost,
+    problem: CollocationProblem,
     basis: BasisSpec,
+    alpha_phys: float,
     alpha_reg: float = 0.0,
 ) -> LinearModel:
     """Quadratic data + physics fit with soft constraints.
@@ -241,11 +229,13 @@ def penalized_fit(
     ``ridge_fit`` at ridge alpha = n_p * alpha_reg (the data term here is a
     mean while the ridge normal equations use a sum).
     """
+    if alpha_phys < 0:
+        raise ValidationError(f"alpha_phys must be nonnegative, got {alpha_phys}")
     _check_scalar_targets(d)
     if alpha_reg < 0:
         raise ValidationError(f"alpha_reg must be nonnegative, got {alpha_reg}")
     n_b = basis.n_basis
-    if cost.alpha_phys == 0:
+    if alpha_phys == 0:
         # no physics rows left: this is ridge regression, solved by the same
         # normal-equations routine (note the mean-vs-sum alpha mapping)
         if d is not None:
@@ -263,9 +253,9 @@ def penalized_fit(
     if alpha_reg > 0:
         blocks.append(np.sqrt(alpha_reg) * np.eye(n_b))
         targets.append(np.zeros(n_b))
-    x_c, L, g, B, u_b = _collocation(cost.problem, basis)
-    s_int = np.sqrt(cost.alpha_phys / x_c.size)
-    s_bc = np.sqrt(cost.alpha_phys)
+    x_c, L, g, B, u_b = _collocation(problem, basis)
+    s_int = np.sqrt(alpha_phys / x_c.size)
+    s_bc = np.sqrt(alpha_phys)
     blocks.extend([s_int * L, s_bc * B])
     targets.extend([s_int * g, s_bc * u_b])
     M = np.vstack(blocks)

@@ -91,13 +91,13 @@ def _member_indices(n_points, test_fraction, mode, rng):
     if not 0.0 <= test_fraction < 1.0:
         raise ValidationError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     if mode == "split":
-        idx = split_indices(n_points, test_fraction, rng)
-        if not idx.test.size:
+        train, test = split_indices(n_points, test_fraction, rng)
+        if not test.size:
             raise ValidationError(
                 f"test_fraction={test_fraction} leaves an empty test set in split mode "
                 f"for n={n_points}"
             )
-        return idx.train, idx.test
+        return train, test
     if mode == "replacement":
         n_test = int(np.rint(test_fraction * n_points))
         n_train = n_points - n_test

@@ -184,10 +184,10 @@ def test_criterion_11_penalty_monotonicity(poisson_problem):
     basis = linear.Polynomial(5)
     norms = []
     for ap in (0.0, 0.1, 1.0, 10.0, 100.0):
-        m = physics.penalized_fit(d, physics.PhysicsCost(poisson_problem, ap), basis, 1e-6)
+        m = physics.penalized_fit(d, poisson_problem, basis, ap, 1e-6)
         norms.append(physics.physics_residual_norm(poisson_problem, basis, m.get_params()))
     monotone = all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-    m0 = physics.penalized_fit(d, physics.PhysicsCost(poisson_problem, 0.0), basis, 1e-6)
+    m0 = physics.penalized_fit(d, poisson_problem, basis, 0.0, 1e-6)
     ridge = linear.ridge_fit(d, basis, d.n_points * 1e-6)
     ridge_diff = float(np.max(np.abs(m0.weights - ridge.weights)))
     ok = monotone and ridge_diff < 1e-12

@@ -296,6 +296,30 @@ class TestBadFilesAndArguments:
         self._fails(["pde-solve", "--problem", problem, "--output", tmp_path / "o"],
                     capsys, "problem.json", key)
 
+    @pytest.mark.parametrize("stats, columns, needle", [
+        ({"mean": [0.0, 0.0], "std": [1.0, 1.0]}, 3, "cover 2 input columns, but --input has 3"),
+        ({"mean": [0.0], "std": [0]}, 1, "every std above 0"),
+        ({"mean": [0.0, 1.0], "std": [1.0]}, 1, "equal lengths"),
+        ({"mean": [[0.0]], "std": [[1.0]]}, 1, "'mean' must be a list"),
+    ], ids=["column-count", "zero-std", "unequal-lengths", "nested-lists"])
+    def test_bad_standardize_statistics(self, data_csv, tmp_path, capsys, stats, columns,
+                                        needle):
+        assert run(["fit", "--input", data_csv, "--model", "krr", "--standardize",
+                    "--output", tmp_path / "f"]) == 0
+        doc = json.loads((tmp_path / "f" / "model.json").read_text())
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**doc, "standardize": stats}))
+        query = tmp_path / "q.csv"
+        query.write_text(",".join(f"x{i}" for i in range(columns)) + "\n"
+                         + ",".join(["0.5"] * columns) + "\n")
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--input", query,
+                    "--output", tmp_path / "p"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "standardize" in err and needle in err, err
+        assert not (tmp_path / "p").exists()
+
     def test_non_integer_layer_size(self, data_csv, tmp_path, capsys):
         self._fails(["fit", "--input", data_csv, "--model", "mlp", "--layers", "1,a,1",
                      "--output", tmp_path / "o"], capsys, "--layers", "'1,a,1'")
@@ -337,11 +361,16 @@ def _cli_process(args):
      "lasso needs max_iters >= 1 and tol >= 0, got max_iters=0"),
     (["fit", "--model", "lasso", "--tol", -0.001],
      "lasso needs max_iters >= 1 and tol >= 0, got max_iters=5000, tol=-0.001"),
+    (["fit", "--model", "ridge", "--rbf-centers", 1], "--rbf-centers 1 needs --rbf-shape"),
+    (["cv", "--rbf-centers", 1], "--rbf-centers 1 needs --rbf-shape"),
+    (["pde-solve", "--problem", "PROBLEM", "--centers", 1], "--centers 1 needs --shape"),
 ], ids=["ridge-alpha-nan", "lasso-alpha-nan", "mlp-eta-inf", "gpr-noise-nan",
         "krr-kernel-offset-nan", "replacement-test-fraction-nan",
         "replacement-test-fraction-negative", "pde-centers-negative", "pde-samples-negative",
         "pde-samples-zero", "fit-rbf-centers-negative", "cv-rbf-centers-negative",
-        "bootstrap-rbf-centers-negative", "lasso-max-iters-zero", "lasso-tol-negative"])
+        "bootstrap-rbf-centers-negative", "lasso-max-iters-zero", "lasso-tol-negative",
+        "fit-one-rbf-center-no-shape", "cv-one-rbf-center-no-shape",
+        "pde-one-center-no-shape"])
 def test_non_finite_or_out_of_range_option_exits_1(data_csv, poisson_json, tmp_path, args,
                                                    needle):
     out = tmp_path / "o"
@@ -351,6 +380,47 @@ def test_non_finite_or_out_of_range_option_exits_1(data_csv, poisson_json, tmp_p
     assert proc.stderr.startswith("error: ") and needle in proc.stderr, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
     assert not (out / "model.json").exists() and not (out / "solution.csv").exists()
+
+
+def test_one_center_with_an_explicit_shape(data_csv, tmp_path):
+    assert run(["fit", "--model", "ridge", "--rbf-centers", 1, "--rbf-shape", 2,
+                "--input", data_csv, "--output", tmp_path / "o"]) == 0
+
+
+@pytest.mark.parametrize("args, code", [
+    (["gen-data", "--n-points", 5], 1),
+    (["fit", "--model", "ridge", "--input", "missing.csv"], 1),
+    (["fit", "--model", "mlp", "--optimizer", "gd", "--eta", 10, "--input", "DATA"], 2),
+    (["predict", "--model", "missing.json", "--input", "DATA"], 1),
+    (["cv", "--input", "missing.csv"], 1),
+    (["bootstrap", "--test-fraction", 0, "--input", "DATA"], 1),
+    (["pde-solve", "--samples", 0, "--problem", "PROBLEM"], 1),
+    (["symreg", "--population", 1, "--input", "DATA"], 1),
+], ids=["gen-data", "fit", "fit-mlp-diverged", "predict", "cv", "bootstrap", "pde-solve",
+        "symreg"])
+def test_refused_command_leaves_no_output_directory(data_csv, poisson_json, tmp_path, args,
+                                                    code):
+    out = tmp_path / "refused" / "out"
+    args = [{"DATA": data_csv, "PROBLEM": poisson_json}.get(a, a) for a in args]
+    proc = _cli_process([*args, "--output", out])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: " if code == 1 else "numerical failure: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("args, artifact", [
+    (["fit", "--model", "lasso", "--max-iters", 3], "model.json"),
+    (["fit", "--model", "ridge", "--degree", 15], "model.json"),
+], ids=["lasso-not-converged", "ridge-ill-conditioned"])
+def test_library_warning_is_one_warning_line(data_csv, tmp_path, args, artifact):
+    out = tmp_path / "o"
+    proc = _cli_process([*args, "--input", data_csv, "--output", out])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: "), proc.stderr
+    assert ".py:" not in proc.stderr
+    assert (out / artifact).exists() and (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("mode", ["kkt", "penalty"])

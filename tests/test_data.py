@@ -96,10 +96,10 @@ def test_split_zero_fraction_identity():
 
 
 def test_split_determinism():
-    a = data.split_indices(37, 0.25, seed=7)
-    b = data.split_indices(37, 0.25, seed=7)
-    np.testing.assert_array_equal(a.train, b.train)
-    np.testing.assert_array_equal(a.test, b.test)
+    a_train, a_test = data.split_indices(37, 0.25, seed=7)
+    b_train, b_test = data.split_indices(37, 0.25, seed=7)
+    np.testing.assert_array_equal(a_train, b_train)
+    np.testing.assert_array_equal(a_test, b_test)
 
 
 def test_split_empty_train_rejected():
@@ -110,12 +110,10 @@ def test_split_empty_train_rejected():
 def test_split_partition_property():
     for seed in range(10):
         n = 20 + seed
-        idx = data.split_indices(n, 0.3, seed=seed)
-        assert idx.train.size + idx.test.size == n
-        assert np.intersect1d(idx.train, idx.test).size == 0
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate([idx.train, idx.test])), np.arange(n)
-        )
+        train, test = data.split_indices(n, 0.3, seed=seed)
+        assert train.size + test.size == n
+        assert np.intersect1d(train, test).size == 0
+        np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
 
 
 class TestGenerator:

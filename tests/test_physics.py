@@ -96,7 +96,7 @@ class TestPenalizedFit:
         d = self._data()
         basis = linear.Polynomial(5)
         alpha_reg = 1e-4
-        m = physics.penalized_fit(d, physics.PhysicsCost(poisson_problem, 0.0), basis, alpha_reg)
+        m = physics.penalized_fit(d, poisson_problem, basis, 0.0, alpha_reg)
         ridge = linear.ridge_fit(d, basis, d.n_points * alpha_reg)
         assert np.max(np.abs(m.weights - ridge.weights)) < 1e-12
 
@@ -104,8 +104,7 @@ class TestPenalizedFit:
         d = self._data()
         norms = []
         for ap in (0.0, 0.1, 1.0, 10.0, 100.0):
-            m = physics.penalized_fit(d, physics.PhysicsCost(poisson_problem, ap),
-                                      poisson_basis, 1e-10)
+            m = physics.penalized_fit(d, poisson_problem, poisson_basis, ap, 1e-10)
             norms.append(physics.physics_residual_norm(poisson_problem, poisson_basis,
                                                        m.get_params()))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -115,7 +114,7 @@ class TestPenalizedFit:
         prob = _affine_problem(source=2.0)
         basis = linear.Polynomial(3)
         kkt = physics.constrained_solve(prob, basis, 1e-10)
-        pen = physics.penalized_fit(None, physics.PhysicsCost(prob, 1e8), basis, 1e-10)
+        pen = physics.penalized_fit(None, prob, basis, 1e8, 1e-10)
         assert np.max(np.abs(pen.get_params() - kkt.weights)) < 1e-3
 
     def test_rank_deficiency_without_regularization(self):
@@ -125,8 +124,7 @@ class TestPenalizedFit:
             boundary=prob.boundary, collocation_points=[0.5],
         )
         with pytest.raises(Exception, match="rank"):
-            physics.penalized_fit(None, physics.PhysicsCost(prob, 1.0),
-                                  linear.Polynomial(4), 0.0)
+            physics.penalized_fit(None, prob, linear.Polynomial(4), 1.0, 0.0)
 
 
 class TestConstrainedSolve:
@@ -379,8 +377,7 @@ def test_penalized_physics_residual_does_not_rise_along_the_weight_ladder(
     data = Dataset(x, np.cos(3.0 * x))
     norms = []
     for alpha_phys in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6):
-        model = physics.penalized_fit(data, physics.PhysicsCost(problem, alpha_phys), basis,
-                                      alpha_reg)
+        model = physics.penalized_fit(data, problem, basis, alpha_phys, alpha_reg)
         norms.append(physics.physics_residual_norm(problem, basis, model.get_params()))
     slack = 1e-9 * norms[0]
     assert all(hi <= lo + slack for lo, hi in zip(norms, norms[1:])), norms
@@ -474,7 +471,7 @@ def test_coefficient_spec_errors_name_the_coefficient(spec, message):
 
 @pytest.mark.parametrize("solver", [
     lambda p, b: physics.constrained_solve(p, b, 1e-8),
-    lambda p, b: physics.penalized_fit(None, physics.PhysicsCost(p, 1.0), b),
+    lambda p, b: physics.penalized_fit(None, p, b, 1.0),
     lambda p, b: physics.physics_residual_norm(p, b, np.zeros(b.n_basis)),
     lambda p, b: physics.pde_residual(p, b, np.zeros(b.n_basis)),
 ], ids=["kkt", "penalty", "residual-norm", "pde-residual"])
