@@ -8,8 +8,10 @@ tables are CSV; every JSON report is one envelope (``schema_version`` 1,
 accept to what it builds. Exit codes: 0 success, 1 validation error (a NaN
 or infinite float option among them), 2 numerical failure (a diverged
 ``fit --model mlp`` among them: no model is written); argparse's own usage
-errors exit 2. A refused command creates no output directory. A library
-warning is printed as one ``warning: <message>`` line and does not fail a run.
+errors exit 2. A refused command creates no output directory; an --output
+that cannot be created or written exits 1 (``error: cannot write <path>``).
+A library warning is printed as one ``warning: <message>`` line and does not
+fail a run.
 
 Wall-clock timing is reported only when --with-timing is passed (the field
 is null otherwise) so that default outputs stay reproducible.
@@ -468,6 +470,9 @@ def main(argv=None) -> int:
         except (NumericalError, LinAlgError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
+        except OSError as exc:  # reads raise "cannot open" ValidationErrors: this is a write
+            print(f"error: cannot write {exc.filename or args.output}: {exc}", file=sys.stderr)
+            return 1
 
 
 def console_main() -> None:

@@ -12,11 +12,12 @@ posterior conditions a zero-mean joint Gaussian on the training targets:
 
 where q are query inputs and t training inputs (Rasmussen & Williams 2006,
 *GPML*, Alg. 2.1). Variances alone need only the diagonal of K(q, q), which
-``kernel_diag`` gives without forming the matrix, so a variance prediction
-holds O(q n) memory and costs one triangular solve. Gaussian kernels build
-their squared distances one input column at a time, never an
-n1 x n2 x n_x difference tensor. Tiny negative posterior eigenvalues
-produced by roundoff are clamped to zero.
+``kernel_diag`` gives without forming the matrix. K(t, t) is factored in
+the buffer it is built in and queries are answered in blocks of at most
+``_BLOCK_BYTES`` of K(block, t), so memory is O(n^2 + block n) for any q.
+Gaussian kernels sum squared distances one input column at a time, never an
+n1 x n2 x n_x tensor. Roundoff's tiny negative posterior eigenvalues are
+clamped to zero.
 
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
@@ -26,6 +27,7 @@ both.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,12 @@ from .errors import (
 
 # jitter added to a kernel diagonal when an unregularized factorization fails
 DIAGONAL_JITTER = 1e-10
+
+# K(block, t) bytes per query block: _BLOCK_BYTES // (8 n) rows, rounded down
+# to a multiple of 8 (at least 1). n = 1500, q = 3000, 2 cores: a variance
+# prediction took ~300 ms in 2 MiB blocks, 340 in 1 MiB, 490 in 4 MiB, and kept
+# the one-block bytes, as q = 5000 at n = 60 did; other shapes may move ulps.
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -71,10 +79,12 @@ KernelSpec = GaussianKernel | LinearKernel | PolynomialKernel
 
 def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """||a_i - b_j||^2 for the rows of A and B, an n1 x n2 matrix summed one
-    input column at a time, so no n1 x n2 x n_x difference tensor exists."""
-    sq = np.zeros((A.shape[0], B.shape[0]))
-    diff = np.empty_like(sq)
-    for k in range(A.shape[1]):
+    input column at a time, so no n1 x n2 x n_x difference tensor exists; the
+    first column is squared in the result, and only later ones need a buffer."""
+    sq = np.subtract.outer(A[:, 0], B[:, 0]) if A.shape[1] else np.zeros((len(A), len(B)))
+    sq *= sq
+    diff = np.empty_like(sq) if A.shape[1] > 1 else None
+    for k in range(1, A.shape[1]):
         np.subtract.outer(A[:, k], B[:, k], out=diff)
         diff *= diff
         sq += diff
@@ -148,26 +158,32 @@ def _factor_regularized_kernel(K: np.ndarray, reg: float):
 
     Each attempt factors its own Fortran-ordered copy of K in place, so the
     copy is the only n x n array allocated (LAPACK overwrites it on failure)."""
-    try:
-        return cho_factor(_shifted(K, reg), lower=True, overwrite_a=True)
-    except LinAlgError:
-        if reg == 0.0:
-            try:
-                return cho_factor(_shifted(K, DIAGONAL_JITTER), lower=True, overwrite_a=True)
-            except LinAlgError:
-                pass
-        smallest = float(np.linalg.eigvalsh(_shifted(K, reg))[0])
-        raise NumericalError(
-            f"kernel matrix plus {reg} I is not positive-definite "
-            f"(smallest pivot/eigenvalue {smallest:.3e})"
-        ) from None
+    return _factor(lambda: np.array(K, dtype=float, order="F"), reg)
 
 
-def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
-    """K + shift I as a new Fortran-ordered array."""
-    A = np.array(K, dtype=float, order="F")
-    A[np.diag_indices_from(A)] += shift
-    return A
+def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float):
+    """Cholesky of K(X, X) + reg I in kernel_matrix's own C-ordered buffer: K
+    is bitwise symmetric, so K.T is K in the Fortran order LAPACK wants."""
+    return _factor(lambda: kernel_matrix(kernel, X, X).T, reg)
+
+
+def _factor(build, reg: float):
+    """Cholesky (lower) of K + reg I, each attempt in place in a fresh
+    Fortran-ordered K = build(); one retry with DIAGONAL_JITTER when reg = 0."""
+
+    def shifted(shift):
+        A = build()
+        A[np.diag_indices_from(A)] += shift
+        if not np.isfinite(A).all():
+            raise NumericalError(f"kernel matrix plus {shift} I has non-finite entries")
+        return A
+
+    for shift in (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,):
+        with suppress(LinAlgError):
+            return cho_factor(shifted(shift), lower=True, overwrite_a=True, check_finite=False)
+    smallest = float(np.linalg.eigvalsh(shifted(reg))[0])
+    raise NumericalError(f"kernel matrix plus {reg} I is not positive-definite "
+                         f"(smallest pivot/eigenvalue {smallest:.3e})")
 
 
 def woodbury_discrepancy(Phi, alpha: float) -> float:
@@ -235,9 +251,8 @@ def gpr_posterior(
     K_qq = kernel_matrix(kernel, Xq, Xq)
     if d is None:
         return GPRPosterior(np.zeros((Xq.shape[0], 1)), K_qq, noise_variance)
-    K_tt = kernel_matrix(kernel, d.inputs, d.inputs)
     K_qt = kernel_matrix(kernel, Xq, d.inputs)
-    factor = _factor_regularized_kernel(K_tt, noise_variance)
+    factor = _factor_kernel(kernel, d.inputs, noise_variance)
     mean = K_qt @ cho_solve(factor, d.targets)
     v = solve_triangular(factor[0], K_qt.T, lower=True)
     cov = K_qq - v.T @ v
@@ -277,19 +292,38 @@ class KernelModel:
         object.__setattr__(self, "dual_coef", A)
 
     def predict(self, X) -> np.ndarray:
-        return kernel_matrix(self.kernel, X, self.train_inputs) @ self.dual_coef
+        return self._answer(np.atleast_2d(np.asarray(X, dtype=float)))[0]
 
     def predict_with_variance(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean K(q, t) dual_coef and latent variance
         diag K(q, q) - sum_i v_iq^2 with v = L^-1 K(t, q), floored at 0; the
-        training block is factored again, and q queries hold O(q n) memory."""
+        training block is factored again, and queries are answered in blocks
+        of _BLOCK_BYTES of K(block, t), so memory is O(n^2 + block n) for any q."""
         Xq = np.atleast_2d(np.asarray(X, dtype=float))
-        K_qt = kernel_matrix(self.kernel, Xq, self.train_inputs)
-        K_tt = kernel_matrix(self.kernel, self.train_inputs, self.train_inputs)
-        L, _ = _factor_regularized_kernel(K_tt, self.regularizer)
-        v = solve_triangular(L, K_qt.T, lower=True)
-        var = kernel_diag(self.kernel, Xq) - np.einsum("ij,ij->j", v, v)
-        return K_qt @ self.dual_coef, np.maximum(var, 0.0)
+        L, _ = _factor_kernel(self.kernel, self.train_inputs, self.regularizer)
+        mean, vv = self._answer(Xq, L)
+        return mean, np.maximum(kernel_diag(self.kernel, Xq) - vv, 0.0)
+
+    def _answer(self, Xq, L=None):
+        """K(q, t) dual_coef and, given the factor L, sum_i v_iq^2 for the 2-D
+        queries Xq, a block at a time; a NumericalError names (from 1) the first
+        query row whose kernel values are not finite."""
+        t = self.train_inputs
+        mean = np.empty((Xq.shape[0], self.dual_coef.shape[1]))
+        vv = np.empty(Xq.shape[0])
+        step = max(1, _BLOCK_BYTES // (8 * t.shape[0]) // 8 * 8)
+        for first in range(0, Xq.shape[0], step):
+            K_bt = kernel_matrix(self.kernel, Xq[first : first + step], t)
+            bad = np.flatnonzero(~np.isfinite(K_bt).all(axis=1))
+            if bad.size:
+                raise NumericalError(f"kernel values of query row {first + bad[0] + 1} "
+                                     "are not finite")
+            np.matmul(K_bt, self.dual_coef, out=mean[first : first + step])
+            if L is not None:  # finite: _factor checked K
+                v = solve_triangular(L, K_bt.T, lower=True, overwrite_b=True,
+                                     check_finite=False)
+                vv[first : first + step] = np.einsum("ij,ij->j", v, v)
+        return mean, vv
 
     def to_dict(self) -> dict:
         return {
@@ -333,7 +367,7 @@ def gpr_fit(d: Dataset, kernel: KernelSpec, noise_variance: float) -> KernelMode
 def _kernel_fit(kind: str, d: Dataset, kernel: KernelSpec, reg: float, name: str):
     if reg < 0:
         raise ValidationError(f"{name} must be nonnegative, got {reg}")
-    factor = _factor_regularized_kernel(kernel_matrix(kernel, d.inputs, d.inputs), reg)
+    factor = _factor_kernel(kernel, d.inputs, reg)
     return KernelModel(kind, kernel, d.inputs, cho_solve(factor, d.targets), reg)
 
 

@@ -545,3 +545,37 @@ def test_ensemble_predict_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("model", ["gpr", "krr"])
+def test_non_finite_kernel_values_at_predict_exit_2(tmp_path, model):
+    assert run(["gen-data", "--n-points", 20, "--output", tmp_path / "d"]) == 0
+    assert run(["fit", "--model", model, "--kernel", "polynomial", "--alpha", 0.1,
+                "--input", tmp_path / "d" / "data.csv", "--output", tmp_path / "m"]) == 0
+    queries = tmp_path / "q.csv"
+    queries.write_text("x0\n0.5\n1e200\n")
+    out = tmp_path / "p"
+    proc = _cli_process(["predict", "--model", tmp_path / "m" / "model.json",
+                         "--input", queries, "--output", out])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == ("numerical failure: kernel values of query row 2 "
+                                            "are not finite")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["afile", "afile/sub"], ids=["names-a-file", "under-a-file"])
+def test_unwritable_output_exits_1(tmp_path, output):
+    (tmp_path / "afile").write_text("")
+    proc = _cli_process(["gen-data", "--output", tmp_path / output])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {tmp_path / output}: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_unwritable_artifact_exits_1(data_csv, tmp_path):
+    out = tmp_path / "o"
+    (out / "model.json").mkdir(parents=True)  # a directory where the artifact goes
+    proc = _cli_process(["fit", "--model", "ridge", "--input", data_csv, "--output", out])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {out / 'model.json'}: ")

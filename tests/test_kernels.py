@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_factor
 
 from regfit import kernels, linear
@@ -302,3 +305,87 @@ class TestKNN:
             kernels.knn_predict(self._d(), [0.5], 0)
         with pytest.raises(ValidationError):
             kernels.knn_predict(self._d(), [0.5], 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), width=st.integers(1, 7), n=st.integers(1, 30))
+def test_kernel_matrix_of_one_input_set_is_bitwise_symmetric(data, width, n):
+    # the in-place factorization hands K.T to LAPACK as K, so K must equal
+    # its transpose bit for bit, not only to roundoff
+    X = data.draw(hnp.arrays(np.float64, (n, width), elements=st.floats(-1e3, 1e3)))
+    spec = data.draw(st.sampled_from([
+        kernels.GaussianKernel(data.draw(st.floats(1e-3, 1e3))),
+        kernels.LinearKernel(),
+        kernels.PolynomialKernel(data.draw(st.integers(1, 3)), data.draw(st.floats(0, 10))),
+    ]))
+    K = kernels.kernel_matrix(spec, X, X)
+    np.testing.assert_array_equal(K, K.T)
+
+
+def _gp_1d(n, seed=21):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, (n, 1))
+    return Dataset(X, np.sin(3 * X) + 0.1 * rng.standard_normal(X.shape)), rng
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_variance_peak_does_not_grow_with_queries():
+    # n = 1000: K(t, t) is 8 MB; 600 and 3000 queries both span several
+    # _BLOCK_BYTES blocks, so only the q-long mean and variance differ
+    d, rng = _gp_1d(1000)
+    m = kernels.gpr_fit(d, kernels.GaussianKernel(4.0), 1e-2)
+    Xq = rng.uniform(-2, 2, (3000, 1))
+    small = _peak(lambda: m.predict_with_variance(Xq[:600]))
+    large = _peak(lambda: m.predict_with_variance(Xq))
+    assert large < 1.1 * small, f"{large / 1e6:.1f} MB vs {small / 1e6:.1f} MB"
+
+
+def test_gpr_fit_factors_the_kernel_in_its_own_buffer():
+    d, _ = _gp_1d(1000)
+    peak = _peak(lambda: kernels.gpr_fit(d, kernels.GaussianKernel(4.0), 1e-2))
+    # K itself plus the boolean mask of its finiteness check
+    assert peak < 1.25 * 8 * d.n_points**2, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("kern", KERNELS)
+def test_one_query_per_block_matches_one_block(kern, monkeypatch):
+    d, rng = _gp_1d(50)
+    m = kernels.gpr_fit(d, kern, 1e-3)
+    Xq = rng.uniform(-3, 3, (40, 1))
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1 << 40)
+    mean, var = m.predict_with_variance(Xq)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)  # one row per block
+    mean_rows, var_rows = m.predict_with_variance(Xq)
+    # relative to the sum of the absolute products: the linear and cubic GPs
+    # at noise 1e-3 have dual coefficients far above their targets, so their
+    # means cancel and the summation order of a block shows at 1e-10
+    terms = np.abs(kernels.kernel_matrix(kern, Xq, d.inputs)) @ np.abs(m.dual_coef)
+    assert np.all(np.abs(mean_rows - mean) <= 1e-12 * terms)
+    scale = np.max(kernels.kernel_diag(kern, Xq))
+    np.testing.assert_allclose(var_rows, var, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_array_equal(m.predict(Xq), mean_rows)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_kernel_values_name_the_query_row():
+    d, _ = _gp_1d(20)
+    m = kernels.krr_fit(d, kernels.PolynomialKernel(2, 1.0), 0.1)
+    Xq = np.array([[0.5], [1.0], [1e200], [np.inf]])
+    for predict in (m.predict, m.predict_with_variance):
+        with pytest.raises(NumericalError, match="query row 3 are not finite"):
+            predict(Xq)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_training_kernel_is_a_numerical_failure():
+    d = Dataset([[1e200], [0.0]], [[1.0], [0.0]])
+    with pytest.raises(NumericalError, match="non-finite entries"):
+        kernels.gpr_fit(d, kernels.PolynomialKernel(2, 1.0), 1e-6)
