@@ -153,14 +153,6 @@ def kernel_from_dict(doc: dict) -> KernelSpec:
     raise ValidationError(f"unknown kernel type {kind!r}")
 
 
-def _factor_regularized_kernel(K: np.ndarray, reg: float):
-    """Cholesky of K + reg I; retries once with a tiny jitter when reg = 0.
-
-    Each attempt factors its own Fortran-ordered copy of K in place, so the
-    copy is the only n x n array allocated (LAPACK overwrites it on failure)."""
-    return _factor(lambda: np.array(K, dtype=float, order="F"), reg)
-
-
 def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float):
     """Cholesky of K(X, X) + reg I in kernel_matrix's own C-ordered buffer: K
     is bitwise symmetric, so K.T is K in the Fortran order LAPACK wants."""
@@ -172,8 +164,9 @@ def _factor(build, reg: float):
     Fortran-ordered K = build(); one retry with DIAGONAL_JITTER when reg = 0."""
 
     def shifted(shift):
-        A = build()
-        A[np.diag_indices_from(A)] += shift
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            A = build()
+            A[np.diag_indices_from(A)] += shift
         if not np.isfinite(A).all():
             raise NumericalError(f"kernel matrix plus {shift} I has non-finite entries")
         return A
@@ -236,6 +229,23 @@ def _clamp_negative_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
+def _query_kernel(kernel: KernelSpec, Xq, X, first: int = 0) -> np.ndarray:
+    """kernel_matrix(kernel, Xq, X) for query rows Xq; a NumericalError names
+    (from first + 1) the first query row whose kernel values are not finite.
+    In K(q, q) that is the first non-finite diagonal entry: every kernel here
+    is positive semi-definite, so K_ij^2 <= K_ii K_jj."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        K = kernel_matrix(kernel, Xq, X)
+    finite = np.isfinite(K)
+    rows = finite.all(axis=1)
+    if X is Xq and not finite.diagonal().all():
+        rows = finite.diagonal()
+    bad = np.flatnonzero(~rows)
+    if bad.size:
+        raise NumericalError(f"kernel values of query row {first + bad[0] + 1} are not finite")
+    return K
+
+
 def gpr_posterior(
     d: Dataset | None, X, kernel: KernelSpec, noise_variance: float
 ) -> GPRPosterior:
@@ -244,17 +254,19 @@ def gpr_posterior(
     With ``d`` None, the posterior is the prior: zero mean and covariance
     K(X, X). ``noise_variance`` is added to the training-block diagonal
     only, so the posterior describes the latent function at the queries.
+    A query row whose kernel values are not finite is refused with a
+    NumericalError that names it.
     """
     if noise_variance < 0:
         raise ValidationError(f"noise variance must be nonnegative, got {noise_variance}")
     Xq = np.atleast_2d(np.asarray(X, dtype=float))
-    K_qq = kernel_matrix(kernel, Xq, Xq)
+    K_qq = _query_kernel(kernel, Xq, Xq)
     if d is None:
         return GPRPosterior(np.zeros((Xq.shape[0], 1)), K_qq, noise_variance)
-    K_qt = kernel_matrix(kernel, Xq, d.inputs)
-    factor = _factor_kernel(kernel, d.inputs, noise_variance)
-    mean = K_qt @ cho_solve(factor, d.targets)
-    v = solve_triangular(factor[0], K_qt.T, lower=True)
+    K_qt = _query_kernel(kernel, Xq, d.inputs)
+    factor = _factor_kernel(kernel, d.inputs, noise_variance)  # finite: _factor checked K
+    mean = K_qt @ cho_solve(factor, d.targets, check_finite=False)
+    v = solve_triangular(factor[0], K_qt.T, lower=True, check_finite=False)
     cov = K_qq - v.T @ v
     return GPRPosterior(mean, _clamp_negative_eigenvalues(cov), noise_variance)
 
@@ -313,11 +325,7 @@ class KernelModel:
         vv = np.empty(Xq.shape[0])
         step = max(1, _BLOCK_BYTES // (8 * t.shape[0]) // 8 * 8)
         for first in range(0, Xq.shape[0], step):
-            K_bt = kernel_matrix(self.kernel, Xq[first : first + step], t)
-            bad = np.flatnonzero(~np.isfinite(K_bt).all(axis=1))
-            if bad.size:
-                raise NumericalError(f"kernel values of query row {first + bad[0] + 1} "
-                                     "are not finite")
+            K_bt = _query_kernel(self.kernel, Xq[first : first + step], t, first)
             np.matmul(K_bt, self.dual_coef, out=mean[first : first + step])
             if L is not None:  # finite: _factor checked K
                 v = solve_triangular(L, K_bt.T, lower=True, overwrite_b=True,

@@ -377,7 +377,6 @@ def _pinn_objective(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step
     parameter array in place)."""
     if net.layer_sizes[0] != 1 or net.layer_sizes[-1] != 1:
         raise ValidationError(f"a PINN network maps 1 input to 1 output, not {net.layer_sizes}")
-    sizes, acts = net.layer_sizes, net.activations
     X, terms = _stencil(problem, fd_step, alpha_phys)
     if data is not None:
         data_grad, data_cost = flat_objective(net, data.inputs, data.targets, MSE())
@@ -385,7 +384,7 @@ def _pinn_objective(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step
 
     def physics(w):
         if last[0] is not w:
-            u, back = _sweep(sizes, acts, w, X)
+            u, back = _sweep(net, w, X)
             last[:] = w, (back, *terms(u[:, 0]))
         return last[1]
 
@@ -406,9 +405,9 @@ def _pinn_objective(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step
 
 
 def pinn_cost(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step=1e-3) -> float:
-    """Combined data + physics cost of a network (monitoring helper). It runs
-    the network's own ``forward``, not the training sweeps, so that tests
-    can hold the training gradient against it."""
+    """Combined data + physics cost of a network (monitoring helper), the
+    reference that tests hold the training gradient against; it evaluates
+    the network with ``forward``, the forward half of the training sweep."""
     X, terms = _stencil(problem, fd_step, alpha_phys)
     cost = terms(forward(net, X)[:, 0])[0]
     if data is not None:

@@ -558,9 +558,22 @@ def test_non_finite_kernel_values_at_predict_exit_2(tmp_path, model):
     proc = _cli_process(["predict", "--model", tmp_path / "m" / "model.json",
                          "--input", queries, "--output", out])
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.splitlines()[-1] == ("numerical failure: kernel values of query row 2 "
-                                            "are not finite")
+    assert proc.stderr.splitlines() == ["numerical failure: kernel values of query row 2 "
+                                        "are not finite"]
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_non_finite_kernel_matrix_at_fit_exit_2(tmp_path):
+    # (1e200)^2 overflows while K is built; the failure is the only stderr line
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x0,y0\n0.5,1.0\n1e200,2.0\n")
+    out = tmp_path / "m"
+    proc = _cli_process(["fit", "--model", "krr", "--kernel", "polynomial", "--alpha", 0.1,
+                         "--input", rows, "--output", out])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["numerical failure: kernel matrix plus 0.1 I has "
+                                        "non-finite entries"]
     assert not out.exists()
 
 

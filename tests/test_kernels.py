@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestGPR:
         scale = np.max(kernels.kernel_diag(kern, Xq))
         np.testing.assert_allclose(var, post.variances, rtol=0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("kern, big", [
+        (kernels.PolynomialKernel(2, 1.0), 1e200),  # K(q, t) and K(q, q) overflow
+        (kernels.LinearKernel(), 1e160),  # only K(q, q) overflows
+    ])
+    @pytest.mark.parametrize("trained", [True, False], ids=["posterior", "prior"])
+    def test_posterior_refuses_a_non_finite_query_row(self, kern, big, trained):
+        d = self._train() if trained else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="kernel values of query row 2 are not finite"):
+                kernels.gpr_posterior(d, [[0.5], [big]], kern, 1e-3)
+
     def test_variance_memory_is_linear_in_queries(self):
         # n = 100 training rows and q = 2000 queries: a q x q prior block
         # alone would be 32 MB, K(q, t) and v = L^-1 K(t, q) are 1.6 MB each
@@ -224,11 +237,11 @@ class TestGPR:
     def test_factorization_failure_reports_pivot(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NumericalError, match="pivot"):
-            kernels._factor_regularized_kernel(indefinite, 0.0)
+            kernels._factor(lambda: np.array(indefinite, dtype=float, order="F"), 0.0)
 
     def test_jitter_retry_factors_k_plus_jitter(self):
         K = np.ones((3, 3))  # PSD, rank 1: the plain factorization fails
-        L, lower = kernels._factor_regularized_kernel(K, 0.0)
+        L, lower = kernels._factor(lambda: np.array(K, dtype=float, order="F"), 0.0)
         L = np.tril(L)
         np.testing.assert_allclose(L @ L.T, K + kernels.DIAGONAL_JITTER * np.eye(3),
                                    rtol=0, atol=1e-15)
@@ -237,7 +250,7 @@ class TestGPR:
     def test_non_pd_error_names_smallest_eigenvalue(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalError, match=r"plus 0\.5 I .*eigenvalue -5\.000e-01"):
-            kernels._factor_regularized_kernel(indefinite, 0.5)
+            kernels._factor(lambda: np.array(indefinite, dtype=float, order="F"), 0.5)
         np.testing.assert_array_equal(indefinite, [[1.0, 2.0], [2.0, 1.0]])
 
     def test_factor_is_cho_factor_of_the_sum_in_one_copy(self):
@@ -246,7 +259,7 @@ class TestGPR:
         expected = cho_factor(K + 1e-2 * np.eye(400), lower=True)[0]
         tracemalloc.start()
         try:
-            L, _ = kernels._factor_regularized_kernel(K, 1e-2)
+            L, _ = kernels._factor(lambda: np.array(K, dtype=float, order="F"), 1e-2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,12 +32,7 @@ def gradcheck_error(sizes, seed, loss=losses.MSE(), activations=None):
 
 
 def test_zero_net_tanh_outputs_zero():
-    net = network.MLP(
-        (1, 2, 1),
-        (np.zeros((2, 1)), np.zeros((1, 2))),
-        (np.zeros(2), np.zeros(1)),
-        ("tanh", "tanh"),
-    )
+    net = network.MLP((1, 2, 1), np.zeros(7), ("tanh", "tanh"))
     np.testing.assert_array_equal(net.predict([[3.0]]), [[0.0]])
 
 
@@ -61,10 +56,20 @@ def test_1231_net_matches_hand_unrolled_composite():
     b3 = np.array([0.0, 0.1, -0.1])
     W3 = np.array([[0.7, -0.5, 0.2]])
     b4 = np.array([0.05])
-    net = network.MLP((1, 2, 3, 1), (W1, W2, W3), (b2, b3, b4), ("tanh", "tanh", "identity"))
+    params = np.concatenate([W1.ravel(), b2, W2.ravel(), b3, W3.ravel(), b4])
+    net = network.MLP((1, 2, 3, 1), params, ("tanh", "tanh", "identity"))
     x = 0.8
     by_hand = W3 @ np.tanh(W2 @ np.tanh(W1 @ np.array([x]) + b2) + b3) + b4
     assert net.predict([[x]])[0, 0] == pytest.approx(by_hand[0], abs=1e-14)
+
+
+def test_weights_and_biases_are_read_only_views_of_params():
+    net = network.init_mlp([2, 3, 1], seed=3)
+    for part in net.weights + net.biases:
+        assert np.shares_memory(part, net.params) and not part.flags.writeable
+    layout = [a.ravel() for W, b in zip(net.weights, net.biases) for a in (W, b)]
+    np.testing.assert_array_equal(np.concatenate(layout), net.params)
+    assert not net.params.flags.writeable
 
 
 def test_activation_values():
@@ -163,13 +168,13 @@ class TestBackprop:
 
     def test_runs_forward_once(self, monkeypatch):
         calls = []
-        real_forward = network._forward_values
+        real_sweep = network._sweep
 
-        def counting_forward(*args):
+        def counting_sweep(*args):
             calls.append(1)
-            return real_forward(*args)
+            return real_sweep(*args)
 
-        monkeypatch.setattr(network, "_forward_values", counting_forward)
+        monkeypatch.setattr(network, "_sweep", counting_sweep)
         net = network.init_mlp([2, 3, 1], seed=1)
         network.backprop(net, np.ones((4, 2)), np.zeros((4, 1)), losses.MSE())
         assert len(calls) == 1
@@ -218,6 +223,12 @@ def test_init_is_seeded_and_bounded():
     np.testing.assert_array_equal(network.flatten_params(a), network.flatten_params(b))
     s = np.sqrt(6.0 / (1 + 4))
     assert np.max(np.abs(a.weights[0])) <= s
+
+
+@pytest.mark.parametrize("sizes", [[3], [1, 0, 1]])
+def test_init_refuses_bad_layer_sizes(sizes):
+    with pytest.raises(ValidationError, match="need >= 2 positive layer sizes"):
+        network.init_mlp(sizes)
 
 
 def test_serialization_round_trip():

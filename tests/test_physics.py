@@ -100,6 +100,17 @@ class TestPenalizedFit:
         ridge = linear.ridge_fit(d, basis, d.n_points * alpha_reg)
         assert np.max(np.abs(m.weights - ridge.weights)) < 1e-12
 
+    def test_no_data_and_no_physics_gives_zero_weights_under_regularization(
+            self, poisson_problem, poisson_basis):
+        m = physics.penalized_fit(None, poisson_problem, poisson_basis, 0.0, 1e-3)
+        np.testing.assert_array_equal(m.weights, np.zeros((poisson_basis.n_basis, 1)))
+
+    def test_no_data_no_physics_and_no_regularization_refused(self, poisson_problem,
+                                                              poisson_basis):
+        with pytest.raises(ValidationError,
+                           match="need data rows, regularization, or a physics weight"):
+            physics.penalized_fit(None, poisson_problem, poisson_basis, 0.0, 0.0)
+
     def test_residual_norm_nonincreasing_in_weight(self, poisson_problem, poisson_basis):
         d = self._data()
         norms = []
@@ -230,12 +241,7 @@ class TestPinn:
 
     def test_fd_second_derivative_matches_single_neuron_oracle(self):
         w1, b1, w2, b2 = 1.3, -0.4, 0.8, 0.1
-        net = network.MLP(
-            (1, 1, 1),
-            (np.array([[w1]]), np.array([[w2]])),
-            (np.array([b1]), np.array([b2])),
-            ("tanh", "identity"),
-        )
+        net = network.MLP((1, 1, 1), np.array([w1, b1, w2, b2]), ("tanh", "identity"))
         xs = np.linspace(0.1, 0.9, 11)
         h = 1e-3
         u = lambda x: net.predict(np.asarray(x).reshape(-1, 1))[:, 0]
