@@ -133,11 +133,8 @@ def cmd_fit(args) -> int:
     d = load_csv(args.input)
     loss = losses.parse_loss_spec(args.loss)
     standardize_doc = _standardizer(d) if args.standardize else None
-    fit_data = (
-        Dataset(_apply_standardize(standardize_doc, d.inputs), d.targets)
-        if standardize_doc
-        else d
-    )
+    fit_data = (Dataset(_apply_standardize(standardize_doc, d.inputs), d.targets)
+                if standardize_doc else d)
     history = None
     if args.model in ("ridge", "lasso"):
         basis = _basis_from_args(args, fit_data)

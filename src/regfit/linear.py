@@ -23,6 +23,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from .data import Dataset
 from .errors import NumericalError, ValidationError, as_integer, as_number_array, require_keys
 from .kernels import _squared_distances
+from .losses import LossSpec, loss_gradient, loss_value
 
 CONDITION_WARN_THRESHOLD = 1e12
 
@@ -140,6 +141,24 @@ class LinearModel:
                 f"parameter vector has {w.size} entries, expected {self.weights.size}"
             )
         return LinearModel(self.basis, w.reshape(self.weights.shape))
+
+    def flat_objective(self, X, Y, loss: LossSpec):
+        """``grad(w, rows)``, the loss gradient on rows ``rows`` of (X, Y)
+        chained with dy/dw = Phi, and ``cost(w)``, the loss on all rows, at
+        flat parameters w; Phi is built once, here."""
+        Phi = feature_matrix(self.basis, X)
+        shape = self.weights.shape
+
+        def grad(w, rows):
+            P = Phi[rows]
+            grad_pred, grad_w = loss_gradient(loss, Y[rows], P @ w.reshape(shape), w)
+            g = (P.T @ grad_pred.reshape(len(P), -1)).ravel()
+            return g if grad_w is None else g + grad_w
+
+        def cost(w):
+            return loss_value(loss, Y, Phi @ w.reshape(shape), w)
+
+        return grad, cost
 
     def to_dict(self) -> dict:
         return {

@@ -104,13 +104,15 @@ def weighted_mse(y_true, y_pred, covariance) -> float:
     spec = covariance if isinstance(covariance, WeightedMSE) else WeightedMSE(covariance)
     a, b = _check_shapes(y_true, y_pred)
     e = (b - a).reshape(a.shape[0], -1)
-    if spec.covariance.shape[0] != e.shape[0]:
-        raise ValidationError(
-            f"covariance is {spec.covariance.shape[0]}x{spec.covariance.shape[0]}, "
-            f"residual has {e.shape[0]} rows"
-        )
-    solved = cho_solve(spec._chol, e)
-    return float(np.sum(e * solved) / e.shape[0])
+    return float(np.sum(e * _solve_residual(spec, e)) / e.shape[0])
+
+
+def _solve_residual(spec: WeightedMSE, e: np.ndarray) -> np.ndarray:
+    """S^-1 e for an n_p x k residual, refusing one whose n_p is not S's size."""
+    n = spec.covariance.shape[0]
+    if e.shape[0] != n:
+        raise ValidationError(f"covariance is {n}x{n}, residual has {e.shape[0]} rows")
+    return cho_solve(spec._chol, e)
 
 
 def huber(e, delta: float) -> float:
@@ -193,9 +195,7 @@ def loss_gradient(spec: LossSpec, y_true, y_pred, w=None):
     if isinstance(spec, MSE):
         return (2.0 / n) * e, None
     if isinstance(spec, WeightedMSE):
-        e2 = e.reshape(n, -1)
-        g = (2.0 / n) * cho_solve(spec._chol, e2)
-        return g.reshape(e.shape), None
+        return (2.0 / n) * _solve_residual(spec, e.reshape(n, -1)).reshape(e.shape), None
     if isinstance(spec, Huber):
         return (1.0 / n) * np.clip(e, -spec.delta, spec.delta), None
     if isinstance(spec, EpsilonInsensitive):

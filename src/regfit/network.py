@@ -9,7 +9,8 @@ A network is its flat parameter vector, layer by layer, weights before
 biases: [W(2).ravel(), b(2), W(3).ravel(), b(3), ...]; ``MLP.weights`` and
 ``MLP.biases`` are read-only views into it. ``_sweep`` is the one
 forward/backward sweep at such a vector: ``forward``, the gradients of
-``flat_objective`` and ``backprop``, and ``physics.pinn_train`` all run it.
+``MLP.flat_objective`` (what ``optim.minibatch_train`` trains on) and
+``backprop``, and ``physics.pinn_train`` all run it.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ class MLP:
     activations: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.layer_sizes)
-        if len(sizes) < 2 or any(n < 1 for n in sizes):
-            raise ValidationError(f"need >= 2 positive layer sizes, got {sizes}")
+        sizes = _check_sizes(self.layer_sizes)
         acts = tuple(self.activations)
         if len(acts) != len(sizes) - 1:
             raise ValidationError("need one activation per layer >= 2")
@@ -87,6 +86,28 @@ class MLP:
     def with_params(self, w) -> "MLP":
         return unflatten_params(self, w)
 
+    def flat_objective(self, X, Y, loss: LossSpec):
+        """``grad(w, rows)``, the ``backprop`` gradient of the loss on rows
+        ``rows`` of (X, Y), and ``cost(w)``, the loss on all rows, at flat
+        parameters w; both run ``_sweep``, without building a network. Only
+        ``grad`` refuses the epsilon-insensitive loss."""
+        X = _check_width(self.layer_sizes, X)
+        base = loss.base if isinstance(loss, Penalized) else loss
+
+        def grad(w, rows):
+            if isinstance(base, EpsilonInsensitive):
+                raise ValidationError("epsilon-insensitive loss is not differentiable "
+                                      "enough for backprop")
+            out, back = _sweep(self, w, X[rows])
+            out_grad, grad_w = loss_gradient(loss, Y[rows], out, w)
+            g = back(out_grad)
+            return g if grad_w is None else g + grad_w
+
+        def cost(w):
+            return loss_value(loss, Y, _sweep(self, w, X)[0], w)
+
+        return grad, cost
+
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,
@@ -112,15 +133,22 @@ class MLP:
 def init_mlp(layer_sizes, activations=None, seed: int = 0) -> MLP:
     """Seeded symmetric init: weights uniform in [-s, s] with
     s = sqrt(6 / (fan_in + fan_out)), biases zero."""
-    sizes = [int(n) for n in layer_sizes]
+    sizes = _check_sizes(layer_sizes)  # before the draws, which a size < 1 breaks
     if activations is None:
         activations = ["tanh"] * (len(sizes) - 2) + ["identity"]
     rng = np.random.default_rng(seed)
-    parts = [np.empty(0)]  # one layer size still reaches MLP's own refusal
+    parts = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
         parts += [rng.uniform(-s, s, size=fan_out * fan_in), np.zeros(fan_out)]
-    return MLP(tuple(sizes), np.concatenate(parts), tuple(activations))
+    return MLP(sizes, np.concatenate(parts), tuple(activations))
+
+
+def _check_sizes(layer_sizes) -> tuple:
+    sizes = tuple(int(n) for n in layer_sizes)
+    if len(sizes) < 2 or any(n < 1 for n in sizes):
+        raise ValidationError(f"need >= 2 positive layer sizes, got {sizes}")
+    return sizes
 
 
 def param_count(net: MLP) -> int:
@@ -191,39 +219,12 @@ def _backward(Ws, acts, ys: list, out_grad) -> np.ndarray:
     return np.concatenate(grads)
 
 
-def _check_differentiable(loss: LossSpec) -> None:
-    base = loss.base if isinstance(loss, Penalized) else loss
-    if isinstance(base, EpsilonInsensitive):
-        raise ValidationError("epsilon-insensitive loss is not differentiable enough for backprop")
-
-
 def backprop(net: MLP, X, y_true, loss: LossSpec) -> np.ndarray:
     """Exact gradient of the scalar loss with respect to the flat parameters.
 
     The loss must be differentiable in the predictions: the
-    epsilon-insensitive variant is refused. This is ``flat_objective``'s
+    epsilon-insensitive variant is refused. This is ``MLP.flat_objective``'s
     gradient on every row, at the network's own parameters.
     """
-    grad, _ = flat_objective(net, X, y_true, loss)
+    grad, _ = net.flat_objective(X, y_true, loss)
     return grad(net.params, slice(None))
-
-
-def flat_objective(net: MLP, X, Y, loss: LossSpec):
-    """The training objective of a network of net's shape as functions of
-    its flat parameters w: ``grad(w, rows)``, the ``backprop`` gradient of
-    the loss on rows ``rows`` of (X, Y), and ``cost(w)``, the loss on all
-    rows. Both run ``_sweep``, without building a network; the loss and the
-    input width are checked once, here."""
-    _check_differentiable(loss)
-    X = _check_width(net.layer_sizes, X)
-
-    def grad(w, rows):
-        out, back = _sweep(net, w, X[rows])
-        out_grad, grad_w = loss_gradient(loss, Y[rows], out, w)
-        g = back(out_grad)
-        return g if grad_w is None else g + grad_w
-
-    def cost(w):
-        return loss_value(loss, Y, _sweep(net, w, X)[0], w)
-
-    return grad, cost

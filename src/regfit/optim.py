@@ -9,7 +9,10 @@ gradient function and a cost function of that vector, and returns a
 ``TrainResult``. A non-finite gradient or epoch cost aborts it: the result
 then holds the last parameters whose cost was finite, a history shorter
 than the schedule and the epoch of the abort; numpy's overflow and
-invalid-value warnings on the way there are suppressed.
+invalid-value warnings on the way there are suppressed. ``minibatch_train``
+trains any model with ``get_params``, ``with_params`` and
+``flat_objective``, which supplies both functions; no model module is
+imported here.
 
 Update rules (g is the gradient of the cost at w):
 
@@ -34,9 +37,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .linear import LinearModel, feature_matrix
-from .losses import LossSpec, loss_gradient, loss_value
-from .network import MLP, backprop, flat_objective
+from .losses import LossSpec
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class GD:
     eta: float = 1e-3
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        _check_positive(self.eta, "learning rate")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class Momentum:
     m: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        _check_positive(self.eta, "learning rate")
         _check_decay(self.beta, "beta")
 
 
@@ -66,9 +67,9 @@ class RMSProp:
     s: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        _check_positive(self.eta, "learning rate")
         _check_decay(self.beta, "beta")
-        _check_eps(self.eps)
+        _check_positive(self.eps, "eps")
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,10 @@ class Adam:
     i: int = 1
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        _check_positive(self.eta, "learning rate")
         _check_decay(self.beta1, "beta1")
         _check_decay(self.beta2, "beta2")
-        _check_eps(self.eps)
+        _check_positive(self.eps, "eps")
         if self.i < 1:
             raise ValidationError(f"adam step counter starts at 1, got {self.i}")
 
@@ -93,19 +94,14 @@ class Adam:
 OptimizerState = GD | Momentum | RMSProp | Adam
 
 
-def _check_eta(eta):
-    if not eta > 0:
-        raise ValidationError(f"learning rate must be positive, got {eta}")
+def _check_positive(value, name):
+    if not value > 0:
+        raise ValidationError(f"{name} must be positive, got {value}")
 
 
 def _check_decay(beta, name):
     if not 0.0 <= beta < 1.0:
         raise ValidationError(f"{name} must lie in [0, 1), got {beta}")
-
-
-def _check_eps(eps):
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
 
 
 def _buffer(existing, w):
@@ -158,22 +154,20 @@ class BatchSchedule:
             raise ValidationError(f"epochs must be positive, got {self.epochs}")
 
 
-def model_gradient(model: LinearModel | MLP, X, Y, loss: LossSpec) -> np.ndarray:
-    """Flat-parameter gradient of the loss for the built-in model kinds.
+def _objective(model, X, Y, loss: LossSpec):
+    """The model's own ``flat_objective``: ``grad(w, rows)`` and ``cost(w)``."""
+    flat_objective = getattr(model, "flat_objective", None)
+    if flat_objective is None:
+        raise ValidationError(f"no gradient rule for model {type(model).__name__}")
+    return flat_objective(X, Y, loss)
 
-    Linear models chain the loss gradient with the feature matrix
-    (dy/dw = Phi); networks use backprop.
-    """
-    if isinstance(model, MLP):
-        return backprop(model, X, Y, loss)
-    if isinstance(model, LinearModel):
-        Phi = feature_matrix(model.basis, X)  # built once: predictions are Phi @ weights
-        grad_pred, grad_w = loss_gradient(loss, Y, Phi @ model.weights, model.get_params())
-        grad = (Phi.T @ grad_pred.reshape(Phi.shape[0], -1)).ravel()
-        if grad_w is not None:
-            grad = grad + grad_w
-        return grad
-    raise ValidationError(f"no gradient rule for model {type(model).__name__}")
+
+def model_gradient(model, X, Y, loss: LossSpec) -> np.ndarray:
+    """The gradient of the model's ``flat_objective`` on every row of (X, Y)
+    at its own parameters: the loss gradient chained with dy/dw (Phi for a
+    linear model, backprop for a network)."""
+    grad, _ = _objective(model, X, Y, loss)
+    return grad(model.get_params(), slice(None))
 
 
 @dataclass(frozen=True)
@@ -222,35 +216,21 @@ def train(w0, grad_fn, cost_fn, opt: OptimizerState, sched: BatchSchedule,
     return TrainResult(w, np.asarray(history), None, steps)
 
 
-def minibatch_train(
-    model: LinearModel | MLP,
-    d: Dataset,
-    loss: LossSpec,
-    opt: OptimizerState,
-    sched: BatchSchedule,
-    grad_fn=None,
-) -> tuple[LinearModel | MLP, np.ndarray]:
-    """Mini-batch training with ``train``; returns (model, per-epoch loss
-    history). Training works on copies, never in place. An aborted run
-    returns the last finite model and a history shorter than the schedule's
-    epochs.
-
-    ``grad_fn(model, X_batch, Y_batch) -> flat gradient`` defaults to
-    ``model_gradient`` with the given loss. A network without one trains on
-    its flat parameters (``network.flat_objective``) and is built once, at
-    the end; other models are rebuilt for every call.
+def minibatch_train(model, d: Dataset, loss: LossSpec, opt: OptimizerState,
+                    sched: BatchSchedule, grad_fn=None) -> tuple:
+    """Mini-batch training with ``train`` on the model's ``flat_objective``;
+    returns (model, per-epoch loss history). The model is built once, at the
+    end. An aborted run returns the last finite model and a history shorter
+    than the schedule's epochs. ``grad_fn(model, X_batch, Y_batch) -> flat
+    gradient`` replaces the objective's gradient, not its cost.
     """
     if sched.batch_size > d.n_points:
         raise ValidationError(
             f"batch size {sched.batch_size} exceeds dataset size {d.n_points}"
         )
     X, Y = d.inputs, d.targets
-    if grad_fn is None and isinstance(model, MLP):
-        grad, cost = flat_objective(model, X, Y, loss)
-    else:
-        if grad_fn is None:
-            grad_fn = lambda m, Xb, Yb: model_gradient(m, Xb, Yb, loss)
+    grad, cost = _objective(model, X, Y, loss)
+    if grad_fn is not None:
         grad = lambda w, rows: grad_fn(model.with_params(w), X[rows], Y[rows])
-        cost = lambda w: loss_value(loss, Y, model.with_params(w).predict(X), w)
     result = train(model.get_params(), grad, cost, opt, sched, d.n_points)
     return model.with_params(result.w), result.history

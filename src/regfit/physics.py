@@ -38,7 +38,7 @@ from .errors import (
 )
 from .linear import BasisSpec, GaussianRBF, LinearModel, Polynomial, feature_matrix, ridge_solve
 from .losses import MSE
-from .network import MLP, _sweep, flat_objective, flatten_params, forward
+from .network import MLP, _sweep, flatten_params, forward
 from .optim import BatchSchedule, OptimizerState, train
 
 # hard-constraint satisfaction tolerance (relative)
@@ -379,7 +379,7 @@ def _pinn_objective(net: MLP, problem, data: Dataset | None, alpha_phys, fd_step
         raise ValidationError(f"a PINN network maps 1 input to 1 output, not {net.layer_sizes}")
     X, terms = _stencil(problem, fd_step, alpha_phys)
     if data is not None:
-        data_grad, data_cost = flat_objective(net, data.inputs, data.targets, MSE())
+        data_grad, data_cost = net.flat_objective(data.inputs, data.targets, MSE())
     last = [None, None]
 
     def physics(w):

@@ -74,16 +74,20 @@ class CVReport:
     """Per-fold out-of-sample MSE with its mean and (population) std."""
 
     per_fold_mse: np.ndarray
-    mean: float
-    std: float
 
     def __post_init__(self):
         folds = np.asarray(self.per_fold_mse, dtype=float)
         if folds.size < 2:
             raise ValidationError("cross-validation needs at least 2 folds")
-        if not np.isclose(self.mean, folds.mean()) or not np.isclose(self.std, folds.std()):
-            raise ValidationError("mean/std are inconsistent with the per-fold list")
         object.__setattr__(self, "per_fold_mse", folds)
+
+    @property
+    def mean(self) -> float:
+        return float(self.per_fold_mse.mean())
+
+    @property
+    def std(self) -> float:
+        return float(self.per_fold_mse.std())
 
 
 def _member_indices(n_points, test_fraction, mode, rng):
@@ -293,8 +297,7 @@ def kfold_cv(d: Dataset, fit_fn, n_folds: int, seed: int = 0) -> CVReport:
         test = d.take(fold)
         predictor = fit_fn(train)
         scores.append(mse(test.targets, predictor.predict(test.inputs)))
-    scores = np.asarray(scores)
-    return CVReport(scores, float(scores.mean()), float(scores.std()))
+    return CVReport(scores)
 
 
 def ridge_cv(d: Dataset, basis: linear.BasisSpec, alpha: float, n_folds: int,
@@ -307,5 +310,4 @@ def ridge_cv(d: Dataset, basis: linear.BasisSpec, alpha: float, n_folds: int,
     for k, fold in enumerate(folds):
         fold_of[fold] = k
     draws = ((np.flatnonzero(fold_of != k), fold) for k, fold in enumerate(folds))
-    scores = _ridge_members(d, basis, alpha, n_folds, draws, "cv fold").out_sample_mse
-    return CVReport(scores, float(scores.mean()), float(scores.std()))
+    return CVReport(_ridge_members(d, basis, alpha, n_folds, draws, "cv fold").out_sample_mse)

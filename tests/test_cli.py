@@ -382,6 +382,21 @@ def test_non_finite_or_out_of_range_option_exits_1(data_csv, poisson_json, tmp_p
     assert not (out / "model.json").exists() and not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("args, needle", [
+    (["--layers", "1,-1,1"], "need >= 2 positive layer sizes, got (1, -1, 1)"),
+    (["--layers", "1,-2,1"], "need >= 2 positive layer sizes, got (1, -2, 1)"),
+    (["--loss", "eps:0.1"], "epsilon-insensitive loss is not differentiable enough"),
+], ids=["layer-minus-one", "layer-minus-two", "eps-loss"])
+def test_refused_mlp_fit_exits_1(data_csv, tmp_path, args, needle):
+    out = tmp_path / "o"
+    proc = _cli_process(["fit", "--model", "mlp", "--epochs", 2, *args, "--input", data_csv,
+                         "--output", out])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and needle in proc.stderr, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_one_center_with_an_explicit_shape(data_csv, tmp_path):
     assert run(["fit", "--model", "ridge", "--rbf-centers", 1, "--rbf-shape", 2,
                 "--input", data_csv, "--output", tmp_path / "o"]) == 0

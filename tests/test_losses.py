@@ -54,6 +54,12 @@ class TestWeightedMSE:
         with pytest.raises(NumericalError):
             losses.weighted_mse(np.zeros(2), np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_gradient_refuses_a_residual_of_the_wrong_size_as_the_value_does(self):
+        spec = losses.WeightedMSE(np.eye(3))
+        for evaluate in (losses.loss_value, losses.loss_gradient):
+            with pytest.raises(ValidationError, match="covariance is 3x3, residual has 5 rows"):
+                evaluate(spec, np.zeros(5), np.ones(5))
+
 
 class TestHuber:
     def test_zero(self):

@@ -225,10 +225,21 @@ def test_init_is_seeded_and_bounded():
     assert np.max(np.abs(a.weights[0])) <= s
 
 
-@pytest.mark.parametrize("sizes", [[3], [1, 0, 1]])
+# the negative sizes are refused before the draws, where -1 divides by zero
+# and -2 overflows the uniform draw's range
+@pytest.mark.parametrize("sizes", [[3], [1, 0, 1], [1, -1, 1], [1, -2, 1], [-3, 2]])
 def test_init_refuses_bad_layer_sizes(sizes):
     with pytest.raises(ValidationError, match="need >= 2 positive layer sizes"):
         network.init_mlp(sizes)
+
+
+def test_gradient_refuses_epsilon_insensitive_loss_but_cost_evaluates_it():
+    net = network.init_mlp([1, 3, 1], seed=0)
+    X = np.linspace(-1, 1, 6)[:, None]
+    grad, cost = net.flat_objective(X, np.zeros((6, 1)), losses.EpsilonInsensitive(0.1))
+    assert np.isfinite(cost(net.params))
+    with pytest.raises(ValidationError, match="epsilon-insensitive"):
+        grad(net.params, slice(None))
 
 
 def test_serialization_round_trip():

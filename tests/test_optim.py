@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from regfit import linear, losses, optim
+from regfit import kernels, linear, losses, optim
 from regfit.data import Dataset
 from regfit.errors import ValidationError
 
@@ -154,7 +154,7 @@ def test_minibatch_steps_per_epoch():
 
 
 def test_linear_gradient_builds_one_feature_matrix(monkeypatch):
-    # both bindings are counted: optim's own and the one LinearModel.predict uses
+    # the binding that LinearModel.predict and LinearModel.flat_objective use
     calls = []
     original = linear.feature_matrix
 
@@ -163,7 +163,6 @@ def test_linear_gradient_builds_one_feature_matrix(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(linear, "feature_matrix", counted)
-    monkeypatch.setattr(optim, "feature_matrix", counted)
     d = _line_data(30)
     m = linear.LinearModel(linear.Polynomial(3), np.arange(4.0))
     g = optim.model_gradient(m, d.inputs, d.targets, losses.Huber(0.3))
@@ -171,6 +170,37 @@ def test_linear_gradient_builds_one_feature_matrix(monkeypatch):
     Phi = original(m.basis, d.inputs)
     grad_pred, _ = losses.loss_gradient(losses.Huber(0.3), d.targets, m.predict(d.inputs))
     np.testing.assert_array_equal(g, (Phi.T @ grad_pred).ravel())
+
+
+def test_default_gradient_run_builds_one_feature_matrix_and_one_model(monkeypatch):
+    features, models = [], []
+    original, init = linear.feature_matrix, linear.LinearModel.__post_init__
+
+    def counted(*args):
+        features.append(1)
+        return original(*args)
+
+    def counting_init(model):
+        models.append(1)
+        init(model)
+
+    d = _line_data(40)
+    m0 = linear.LinearModel(linear.Polynomial(2), np.zeros((3, 1)))
+    monkeypatch.setattr(linear, "feature_matrix", counted)
+    monkeypatch.setattr(linear.LinearModel, "__post_init__", counting_init)
+    trained, history = optim.minibatch_train(m0, d, losses.MSE(), optim.Adam(eta=0.01),
+                                             optim.BatchSchedule(8, 6, 0))  # 30 steps
+    assert history.size == 6 and isinstance(trained, linear.LinearModel)
+    assert (len(features), len(models)) == (1, 1)
+
+
+def test_a_model_without_an_objective_is_refused():
+    d = _line_data(10)
+    model = kernels.krr_fit(d, kernels.GaussianKernel(1.0), 0.1)
+    with pytest.raises(ValidationError, match="no gradient rule for model KernelModel"):
+        optim.model_gradient(model, d.inputs, d.targets, losses.MSE())
+    with pytest.raises(ValidationError, match="no gradient rule for model KernelModel"):
+        optim.minibatch_train(model, d, losses.MSE(), optim.GD(), optim.BatchSchedule(5, 1, 0))
 
 
 def test_full_batch_equals_plain_gradient_descent():

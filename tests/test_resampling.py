@@ -177,11 +177,6 @@ class TestKFold:
             resampling.kfold_cv(d, lambda t: _line_fit(t)[1], 11)
 
 
-def test_cv_report_consistency_enforced():
-    with pytest.raises(ValidationError):
-        resampling.CVReport(np.array([1.0, 2.0]), mean=9.0, std=0.5)
-
-
 # ---------------------------------------------------------------------------
 # the batched ridge path against the generic one it replaces in the CLI
 
