@@ -20,6 +20,7 @@ is null otherwise) so that default outputs stay reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -167,9 +168,12 @@ def cmd_fit(args) -> int:
             raise NumericalError(f"training diverged in epoch {history.size + 1} of "
                                  f"{args.epochs}: the loss or its gradient is no longer "
                                  "finite; no model written")
-    # a kernel model has no weight vector for a loss penalty to act on
-    params = None if args.model in ("krr", "gpr") else model.get_params()
-    final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs), params)
+    if history is not None:  # the last epoch's cost is the loss at the returned weights
+        final_loss = history[-1]
+    else:  # a kernel model has no weight vector for a loss penalty to act on
+        params = None if args.model in ("krr", "gpr") else model.get_params()
+        final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs),
+                                       params)
     doc = model.to_dict()
     if standardize_doc:
         doc["standardize"] = standardize_doc
@@ -350,6 +354,7 @@ def cmd_symreg(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: main parses each argv with the same parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regfit",

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import get_lapack_funcs
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError, as_integer, as_number_array, require_keys
@@ -95,8 +95,12 @@ def feature_matrix(basis: BasisSpec, X) -> np.ndarray:
             raise ValidationError(
                 f"polynomial basis needs scalar inputs, got {X.shape[1]} columns"
             )
-        x = X[:, 0]
-        return np.vander(x, basis.degree + 1)  # highest power first
+        with np.errstate(over="ignore"):  # checked next
+            Phi = np.vander(X[:, 0], basis.degree + 1)  # highest power first
+        if not np.isfinite(Phi).all():
+            row = np.flatnonzero(~np.isfinite(Phi).all(axis=1))[0] + 1
+            raise NumericalError(f"polynomial features of input row {row} are not finite")
+        return Phi
     if isinstance(basis, GaussianRBF):
         if X.shape[1] != basis.centers.shape[1]:
             raise ValidationError(
@@ -200,8 +204,8 @@ def basis_from_dict(doc: dict) -> BasisSpec:
 
 
 class SingularStackError(NumericalError):
-    """A stacked ridge solve met a singular normal matrix; ``index`` is its
-    position in the stack."""
+    """A ridge solve met singular or non-finite normal equations; ``index``
+    is the slice's position in the stack (0 for a 2-D call)."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
@@ -211,10 +215,11 @@ class SingularStackError(NumericalError):
 def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     """Solve (Phi^T Phi + alpha I) W = Phi^T Y for W via Cholesky.
 
-    ``Phi`` may also be a stack, E x m x p with targets E x m (x n_y): each
-    slice is then solved with the arithmetic of a 2-D call, so its weights
-    are bit-identical to solving it alone. A stack warns once, with its
-    worst condition number, and a singular slice raises SingularStackError.
+    ``Phi`` may also be a stack, E x m x p with targets E x m (x n_y); a 2-D
+    call is a stack of one. Each slice goes to LAPACK's potrf/potrs with
+    ``cho_factor``/``cho_solve``'s arguments, so its weights are bit-identical
+    to solving it alone. A stack warns once, with its worst condition number;
+    overflowing or singular normal equations raise SingularStackError.
     """
     if alpha < 0:
         raise ValidationError(f"ridge alpha must be nonnegative, got {alpha}")
@@ -225,7 +230,14 @@ def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     if Phi.shape[:-1] != Y.shape[:-1]:
         raise ValidationError(f"row mismatch: {Phi.shape[-2]} features vs {Y.shape[-2]} targets")
     PhiT = np.swapaxes(Phi, -1, -2)
-    A = PhiT @ Phi + alpha * np.eye(Phi.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        A = PhiT @ Phi + alpha * np.eye(Phi.shape[-1])
+        B = PhiT @ Y
+    A, B = (A, B) if Phi.ndim == 3 else (A[None], B[None])
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+    if not finite.all():
+        raise SingularStackError("normal equations are not finite: the features or targets "
+                                 "overflow", int(np.argmin(finite)))
     cond = np.linalg.cond(A)
     worst = np.max(cond)
     if worst > CONDITION_WARN_THRESHOLD:
@@ -235,23 +247,15 @@ def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    try:
-        factor = cho_factor(A, lower=True)
-    except LinAlgError as exc:
-        message = "normal matrix is singular at alpha={} (condition estimate {:.2e})"
-        if A.ndim == 2:
-            raise NumericalError(message.format(alpha, cond)) from exc
-        index = next(i for i, a in enumerate(A) if not _positive_definite(a))
-        raise SingularStackError(message.format(alpha, cond[index]), index) from exc
-    return cho_solve(factor, PhiT @ Y)
-
-
-def _positive_definite(A: np.ndarray) -> bool:
-    try:
-        cho_factor(A, lower=True)
-    except LinAlgError:
-        return False
-    return True
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (A,))
+    W = []
+    for index, (a, b) in enumerate(zip(A, B)):
+        factor, info = potrf(a, lower=True, overwrite_a=False, clean=False)
+        if info:
+            raise SingularStackError(f"normal matrix is singular at alpha={alpha} "
+                                     f"(condition estimate {cond[index]:.2e})", index)
+        W.append(potrs(factor, b, lower=True, overwrite_b=False)[0])
+    return np.stack(W) if Phi.ndim == 3 else W[0]
 
 
 def ridge_fit(d: Dataset, basis: BasisSpec, alpha: float) -> LinearModel:

@@ -1,7 +1,8 @@
 """First-order update rules and the one training loop.
 
-All rules are element-wise. ``step`` is functional: it returns the new
-parameter vector and a new optimizer state, leaving its arguments alone.
+All rules are element-wise, in ``_apply`` on plain arrays, which ``train``
+runs directly. ``step`` is its validating, functional form: it returns the
+new parameter vector and a new optimizer state, leaving its arguments alone.
 
 ``train`` is the training loop of both ``minibatch_train`` and
 ``physics.pinn_train``. It works on a flat parameter vector through a
@@ -104,41 +105,51 @@ def _check_decay(beta, name):
         raise ValidationError(f"{name} must lie in [0, 1), got {beta}")
 
 
-def _buffer(existing, w):
-    if existing is None:
-        return np.zeros_like(w)
-    existing = np.asarray(existing, dtype=float)
-    if existing.shape != w.shape:
-        raise ValidationError(
-            f"optimizer buffer shape {existing.shape} does not match parameters {w.shape}"
-        )
-    return existing
+def _buffers(state: OptimizerState, w) -> dict:
+    """What ``_apply`` updates: the buffers, checked against w, and Adam's i."""
+    if not isinstance(state, OptimizerState):
+        raise ValidationError(f"unknown optimizer state {state!r}")
+    buffers = {"i": state.i} if isinstance(state, Adam) else {}
+    for name in ("m", "s"):
+        if hasattr(state, name):
+            b = getattr(state, name)
+            buffers[name] = np.zeros_like(w) if b is None else np.asarray(b, dtype=float)
+            if buffers[name].shape != w.shape:
+                raise ValidationError(f"optimizer buffer shape {buffers[name].shape} "
+                                      f"does not match parameters {w.shape}")
+    return buffers
+
+
+def _apply(state: OptimizerState, w, g, buffers: dict) -> np.ndarray:
+    """The update rule of ``state`` on plain arrays: returns the new w and
+    puts new buffer arrays into ``buffers`` (no array is written)."""
+    if isinstance(state, GD):
+        return w - state.eta * g
+    if isinstance(state, Momentum):
+        buffers["m"] = m = state.beta * buffers["m"] - state.eta * g
+        return w + m
+    if isinstance(state, RMSProp):
+        buffers["s"] = s = state.beta * buffers["s"] + (1.0 - state.beta) * g * g
+        return w - state.eta * g / np.sqrt(s + state.eps)
+    i = buffers["i"]
+    buffers.update(i=i + 1, m=state.beta1 * buffers["m"] + (1.0 - state.beta1) * g,
+                   s=state.beta2 * buffers["s"] + (1.0 - state.beta2) * g * g)
+    m_hat = buffers["m"] / (1.0 - state.beta1**i)
+    s_hat = buffers["s"] / (1.0 - state.beta2**i)
+    return w - state.eta * m_hat / (np.sqrt(s_hat) + state.eps)
 
 
 def step(state: OptimizerState, w, g) -> tuple[np.ndarray, OptimizerState]:
-    """One parameter update; returns (new w, new state)."""
+    """One validated update by ``_apply``; returns (new w, new state)."""
     w = np.asarray(w, dtype=float)
     g = np.asarray(g, dtype=float)
     if w.shape != g.shape:
         raise ValidationError(f"gradient shape {g.shape} does not match parameters {w.shape}")
     if not np.isfinite(g).all():
         raise ValidationError("gradient contains non-finite entries")
-    if isinstance(state, GD):
-        return w - state.eta * g, state
-    if isinstance(state, Momentum):
-        m = state.beta * _buffer(state.m, w) - state.eta * g
-        return w + m, replace(state, m=m)
-    if isinstance(state, RMSProp):
-        s = state.beta * _buffer(state.s, w) + (1.0 - state.beta) * g * g
-        return w - state.eta * g / np.sqrt(s + state.eps), replace(state, s=s)
-    if isinstance(state, Adam):
-        m = state.beta1 * _buffer(state.m, w) + (1.0 - state.beta1) * g
-        s = state.beta2 * _buffer(state.s, w) + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**state.i)
-        s_hat = s / (1.0 - state.beta2**state.i)
-        w_next = w - state.eta * m_hat / (np.sqrt(s_hat) + state.eps)
-        return w_next, replace(state, m=m, s=s, i=state.i + 1)
-    raise ValidationError(f"unknown optimizer state {state!r}")
+    buffers = _buffers(state, w)
+    w_next = _apply(state, w, g, buffers)
+    return w_next, replace(state, **buffers) if buffers else state
 
 
 @dataclass(frozen=True)
@@ -185,14 +196,15 @@ def train(w0, grad_fn, cost_fn, opt: OptimizerState, sched: BatchSchedule,
           n_rows: int) -> TrainResult:
     """Epoch-based training of flat parameters from w0.
 
-    An epoch walks the ``n_rows`` rows in a seeded random order, one
-    ``step`` on ``grad_fn(w, rows)`` per batch (the last may be short), or
-    takes one step on ``grad_fn(w, None)`` if ``n_rows`` is 0; it ends by
-    recording ``cost_fn(w)``. A non-finite gradient or cost aborts at that
+    An epoch walks the ``n_rows`` rows in a seeded random order, one update
+    by ``opt`` (checked once per run) on ``grad_fn(w, rows)`` per batch (the
+    last may be short), or one on ``grad_fn(w, None)`` if ``n_rows`` is 0,
+    and records ``cost_fn(w)``. A non-finite gradient or cost aborts at that
     epoch with the last parameters whose cost was finite (w0 if none was).
     """
     rng = np.random.default_rng(sched.shuffle_seed)
     w = last_finite = np.asarray(w0, dtype=float)
+    buffers = _buffers(opt, w)
     history, steps = [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled below
         for epoch in range(sched.epochs):
@@ -203,10 +215,12 @@ def train(w0, grad_fn, cost_fn, opt: OptimizerState, sched: BatchSchedule,
             else:
                 batches = [None]
             for rows in batches:
-                g = grad_fn(w, rows)
+                g = np.asarray(grad_fn(w, rows), dtype=float)
+                if g.shape != w.shape:
+                    raise ValidationError(f"gradient shape {g.shape} != parameters {w.shape}")
                 if not np.isfinite(g).all():
                     return TrainResult(last_finite, np.asarray(history), epoch, steps)
-                w, opt = step(opt, w, g)
+                w = _apply(opt, w, g, buffers)
                 steps += 1
             j = cost_fn(w)
             if not np.isfinite(j):

@@ -85,7 +85,7 @@ def _fold(t: tuple, leaf, combine):
 
 
 def eval_tree(t: tuple, X) -> np.ndarray:
-    """Evaluate the tree at every input row; always finite (see module doc)."""
+    """Evaluate at every input row, each node's result clamped in place; always finite."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
 
     def leaf(op, payload):
@@ -97,8 +97,9 @@ def eval_tree(t: tuple, X) -> np.ndarray:
             )
         return X[:, payload].copy()
 
-    def combine(op, args):
-        return np.clip(_FUNCTIONS[op](*args), -VALUE_CLAMP, VALUE_CLAMP)
+    def combine(op, args):  # each function returns a new array: clamp it in place
+        out = _FUNCTIONS[op](*args)
+        return np.minimum(np.maximum(out, -VALUE_CLAMP, out=out), VALUE_CLAMP, out=out)
 
     with np.errstate(over="ignore", invalid="ignore"):
         return _fold(t, leaf, combine)
@@ -116,7 +117,13 @@ def _depths(t: tuple) -> list:
 
 def tree_depth(t: tuple) -> int:
     """Edges from the root to the deepest leaf; a single terminal is 0."""
-    return max(_depths(t))
+    pending, deepest = [0], 0  # one pass, with no list of depths
+    for op, _ in t:
+        d = pending.pop()
+        pending += [d + 1] * ARITY[op]
+        if d > deepest:
+            deepest = d
+    return deepest
 
 
 def tree_size(t: tuple) -> int:
@@ -267,11 +274,11 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
             cache[t] = f if np.isfinite(f) else np.inf
         return cache[t]
 
-    def key(idx, fit):
-        return (fit[idx], tree_size(population[idx]), idx)
+    def key(idx, fit):  # fit is a list: Python floats compare faster than numpy's
+        return (fit[idx], len(population[idx]), idx)
 
     def tournament(fit):
-        contenders = rng.integers(cfg.population_size, size=cfg.tournament_size)
+        contenders = rng.integers(cfg.population_size, size=cfg.tournament_size).tolist()
         best = min(contenders, key=lambda i: key(i, fit))
         return population[best]
 
@@ -283,17 +290,17 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
     best_fit = np.inf
     history = np.zeros((cfg.generations, 2))
     for gen in range(cfg.generations):
-        fit = np.array([fitness(t) for t in population])
+        fit = [fitness(t) for t in population]
         order = sorted(range(cfg.population_size), key=lambda i: key(i, fit))
         leader = order[0]
         if fit[leader] < best_fit or (
             fit[leader] == best_fit
             and best_tree is not None
-            and tree_size(population[leader]) < tree_size(best_tree)
+            and len(population[leader]) < len(best_tree)
         ):
             best_tree, best_fit = population[leader], fit[leader]
-        finite = fit[np.isfinite(fit)]
-        history[gen] = (best_fit, finite.mean() if finite.size else np.inf)
+        finite = [f for f in fit if f != np.inf]  # fitness() maps non-finite to inf
+        history[gen] = (best_fit, np.mean(finite) if finite else np.inf)
         if gen == cfg.generations - 1:
             break
         next_pop = [population[i] for i in order[:n_elite]]

@@ -592,6 +592,35 @@ def test_non_finite_kernel_matrix_at_fit_exit_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, degree, message", [
+    (["fit", "--model", "ridge"], 3, "polynomial features of input row 2 are not finite"),
+    (["bootstrap", "--members", 5], 3, "polynomial features of input row 2 are not finite"),
+    (["cv", "--folds", 3], 3, "polynomial features of input row 2 are not finite"),
+    (["fit", "--model", "ridge"], 1, "normal equations are not finite"),
+    (["bootstrap", "--members", 5], 1, "bootstrap member 0: normal equations are not finite"),
+    (["cv", "--folds", 3], 1, "cv fold 0: normal equations are not finite"),
+], ids=["fit-features", "bootstrap-features", "cv-features", "fit", "bootstrap", "cv"])
+def test_overflowing_ridge_inputs_exit_2(tmp_path, capfd, args, degree, message):
+    # x = 1e200 overflows x^3, and x^2 in the normal matrix of a line fit
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x0,y0\n" + "".join(f"{x},{i}\n" for i, x in enumerate([1.0, 1e200] * 5)))
+    out = tmp_path / "o"
+    capfd.readouterr()
+    assert run(args + ["--degree", degree, "--input", rows, "--output", out]) == 2
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and message in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("optimizer", list(cli.OPTIMIZERS))
+def test_mlp_final_loss_is_the_last_history_loss(data_csv, tmp_path, optimizer):
+    out = tmp_path / "fit"
+    assert run(["fit", "--model", "mlp", "--optimizer", optimizer, "--loss", "ridge:0.01",
+                "--epochs", 4, "--seed", 5, "--input", data_csv, "--output", out]) == 0
+    history = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1)
+    assert json.loads((out / "report.json").read_text())["final_loss"] == history[-1, 1]
+
+
 @pytest.mark.parametrize("output", ["afile", "afile/sub"], ids=["names-a-file", "under-a-file"])
 def test_unwritable_output_exits_1(tmp_path, output):
     (tmp_path / "afile").write_text("")

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regfit import linear
 from regfit.data import Dataset
@@ -87,6 +89,61 @@ class TestRidge:
         d = Dataset(x, x)
         with pytest.warns(RuntimeWarning, match="condition number"):
             linear.ridge_fit(d, linear.Polynomial(2), 0.0)
+
+
+@st.composite
+def _ridge_stacks(draw):
+    E, m, p, n_y = (draw(st.integers(lo, hi)) for lo, hi in ((1, 6), (1, 8), (1, 5), (1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Phi = rng.standard_normal((E, m, p)) * 10.0 ** draw(st.integers(-3, 3))
+    Y = rng.standard_normal((E, m, n_y))
+    return Phi, Y, draw(st.sampled_from([0.0, 1e-10, 0.3, 5.0]) | st.floats(0.0, 1e3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_ridge_stacks())
+def test_stacked_ridge_solve_equals_each_slice_alone(case):
+    Phi, Y, alpha = case
+    try:
+        W = linear.ridge_solve(Phi, Y, alpha)
+    except linear.SingularStackError as exc:
+        for e in range(exc.index):
+            linear.ridge_solve(Phi[e], Y[e], alpha)
+        with pytest.raises(NumericalError, match="singular"):
+            linear.ridge_solve(Phi[exc.index], Y[exc.index], alpha)
+        return
+    for e in range(len(Phi)):
+        assert W[e].tobytes() == linear.ridge_solve(Phi[e], Y[e], alpha).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda E: st.tuples(st.just(E), st.integers(0, E - 1))))
+def test_singular_slice_is_named_by_its_index(case):
+    E, k = case
+    rng = np.random.default_rng(E * 10 + k)
+    Phi = rng.standard_normal((E, 6, 3))
+    Phi[k, :, 2] = 0.0  # a zero column: a singular normal matrix at alpha 0
+    with pytest.raises(linear.SingularStackError, match="singular") as info, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        linear.ridge_solve(Phi, rng.standard_normal((E, 6)), 0.0)
+    assert info.value.index == k
+
+
+def test_overflowing_normal_equations_are_refused():
+    Phi = np.ones((3, 4, 2))
+    Phi[1, 0, 0] = 1e200  # finite features whose normal matrix overflows
+    with pytest.raises(linear.SingularStackError, match="not finite") as info:
+        linear.ridge_solve(Phi, np.ones((3, 4)), 0.1)
+    assert info.value.index == 1
+    with pytest.raises(NumericalError, match="not finite"):  # overflowing targets
+        linear.ridge_solve(np.ones((4, 2)), np.full(4, 1e308), 0.1)
+
+
+def test_overflowing_polynomial_features_name_the_row():
+    with pytest.raises(NumericalError, match="input row 2 are not finite"):
+        linear.feature_matrix(linear.Polynomial(3), [[1.0], [1e200], [1e300]])
 
 
 class TestLasso:

@@ -276,6 +276,37 @@ def test_train_aborts_on_a_non_finite_gradient_with_the_last_finite_state():
     assert [len(rows) for rows in seen[:3]] == [2, 2, 1]
 
 
+@pytest.mark.parametrize("opt", [
+    optim.GD(eta=0.05),
+    optim.Momentum(eta=0.02, beta=0.8),
+    optim.RMSProp(eta=0.01, beta=0.95, eps=1e-6),
+    optim.Adam(eta=0.03),
+    optim.Adam(eta=0.03, m=np.full(4, 0.1), s=np.full(4, 0.2), i=3),
+], ids=["gd", "momentum", "rmsprop", "adam", "adam-resumed"])
+def test_train_equals_a_loop_of_public_steps(opt):
+    d = _line_data(23)
+    model = linear.LinearModel(linear.Polynomial(3), np.zeros((4, 1)))
+    grad, cost = model.flat_objective(d.inputs, d.targets, losses.MSE())
+    sched = optim.BatchSchedule(5, 6, 3)
+    result = optim.train(np.zeros(4), grad, cost, opt, sched, d.n_points)
+
+    rng, w, state, history = np.random.default_rng(3), np.zeros(4), opt, []
+    for _ in range(sched.epochs):
+        perm = rng.permutation(d.n_points)
+        for start in range(0, d.n_points, sched.batch_size):
+            w, state = optim.step(state, w, grad(w, perm[start:start + sched.batch_size]))
+        history.append(cost(w))
+    assert result.w.tobytes() == w.tobytes()
+    assert result.history.tobytes() == np.asarray(history).tobytes()
+    assert result.steps == 30
+
+
+def test_train_refuses_a_gradient_of_the_wrong_shape():
+    with pytest.raises(ValidationError, match="gradient shape"):
+        optim.train(np.zeros(3), lambda w, rows: np.zeros(2), lambda w: 0.0, optim.GD(),
+                    optim.BatchSchedule(1, 1, 0), 0)
+
+
 def test_train_without_rows_takes_one_full_step_per_epoch():
     seen = []
 
