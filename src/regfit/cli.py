@@ -231,11 +231,9 @@ def cmd_predict(args) -> int:
         y, var = model.predict_with_variance(Xs)
         unc = CONFIDENCE_FACTOR * np.sqrt(var)
     elif doc["kind"] == "linear_ensemble":  # model is the ensemble's basis
-        y_pop = resampling.member_predictions(linear.feature_matrix(model, Xs),
-                                              doc["weight_population"])
-        y_mean, u = resampling.bagged_band(y_pop, float(doc["j_i_mean"]))
-        y = y_mean[:, None]
-        unc = CONFIDENCE_FACTOR * u
+        y, u = resampling.ensemble_band(linear.feature_matrix(model, Xs),
+                                        doc["weight_population"], float(doc["j_i_mean"]))
+        y, unc = y[:, None], CONFIDENCE_FACTOR * u
     else:
         y = model.predict(Xs)
     header = [f"x{i}" for i in range(X.shape[1])]

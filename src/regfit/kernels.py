@@ -43,8 +43,8 @@ DIAGONAL_JITTER = 1e-10
 
 # K(block, t) bytes per query block: _BLOCK_BYTES // (8 n) rows, rounded down
 # to a multiple of 8 (at least 1). n = 1500, q = 3000, 2 cores: a variance
-# prediction took ~300 ms in 2 MiB blocks, 340 in 1 MiB, 490 in 4 MiB, and kept
-# the one-block bytes, as q = 5000 at n = 60 did; other shapes may move ulps.
+# prediction took ~300 ms in 2 MiB blocks, 340 in 1 MiB, 490 in 4 MiB. The size
+# is part of the bytes: 2 MiB kept the one-block bits there, 1 and 4 MiB did not.
 _BLOCK_BYTES = 2 << 20
 
 

@@ -17,9 +17,9 @@ evaluate an arbitrary model one member at a time. For ridge regression,
 every member's own rows into a stack and fit all members with one stacked
 ``linear.ridge_solve`` per block of members; they draw the same members
 and give bit-identical weights and errors. The CLI's ``bootstrap`` and
-``cv`` run them, and its ensemble ``predict`` feeds ``member_predictions``,
-one product per member, to ``bagged_band``, so their artifacts have the
-same bytes as the one-member-at-a-time path.
+``cv`` run them; its ensemble ``predict`` runs ``ensemble_band``, which takes
+``member_predictions`` then ``bagged_band`` a block of query rows at a time,
+in O(q + rows n_E) memory. All have the bytes of the one-member-at-a-time path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linear
-from .data import Dataset, split_indices
+from .data import Dataset
 from .errors import NumericalError, ValidationError
 from .losses import mse
 
@@ -40,7 +40,7 @@ _REDRAW_CAP = 100
 # _STACK_BYTES // (8 * n_p * n_basis) members (at least one) keeps each
 # stacked array under it whatever the member count. Members are solved slice
 # by slice, so where the block boundaries fall changes no bit of the results.
-# ``member_predictions`` bounds its block of q-point products the same way.
+# ``member_predictions`` and ``ensemble_band`` bound their blocks the same way.
 _STACK_BYTES = 1 << 20
 
 
@@ -90,32 +90,37 @@ class CVReport:
         return float(self.per_fold_mse.std())
 
 
-def _member_indices(n_points, test_fraction, mode, rng):
-    """One member's (train, test) rows under the requested resampling mode."""
+def _test_size(n_points: int, test_fraction: float, mode: str) -> int:
+    """Checked once per run: each member's n_test (undrawn rows in replacement mode)."""
     if not 0.0 <= test_fraction < 1.0:
         raise ValidationError(f"test_fraction must lie in [0, 1), got {test_fraction}")
+    if mode not in ("split", "replacement"):
+        raise ValidationError(f"mode must be 'split' or 'replacement', got {mode!r}")
+    n_test = int(np.rint(test_fraction * n_points))
+    if n_test == n_points or (mode == "split" and not n_test):
+        empty = "training set" if n_test == n_points else "test set in split mode"
+        raise ValidationError(f"test_fraction={test_fraction} leaves an empty {empty} "
+                              f"for n={n_points}")
+    return n_test
+
+
+def _draw_block(n_points: int, n_test: int, mode: str, rngs):
+    """The (train, test) rows of one member per generator of ``rngs``. Split
+    mode sorts the block's permutations as one 2-D array."""
     if mode == "split":
-        train, test = split_indices(n_points, test_fraction, rng)
-        if not test.size:
-            raise ValidationError(
-                f"test_fraction={test_fraction} leaves an empty test set in split mode "
-                f"for n={n_points}"
-            )
-        return train, test
-    if mode == "replacement":
-        n_test = int(np.rint(test_fraction * n_points))
-        n_train = n_points - n_test
-        if n_train < 1:
-            raise ValidationError("test_fraction leaves an empty training set")
-        for _ in range(_REDRAW_CAP):
-            train = np.sort(rng.integers(0, n_points, size=n_train))
+        perms = np.stack([rng.permutation(n_points) for rng in rngs])
+        yield from zip(np.sort(perms[:, n_test:]), np.sort(perms[:, :n_test]))
+        return
+    for rng in rngs:
+        for _ in range(_REDRAW_CAP):  # redraw until some row is never drawn
+            train = np.sort(rng.integers(0, n_points, size=n_points - n_test))
             test = np.flatnonzero(np.bincount(train, minlength=n_points) == 0)
             if test.size:
-                return train, test
-        raise ValidationError(
-            f"could not draw a member with a nonempty test set in {_REDRAW_CAP} tries"
-        )
-    raise ValidationError(f"mode must be 'split' or 'replacement', got {mode!r}")
+                break
+        else:
+            raise ValidationError(f"could not draw a member with a nonempty test set in "
+                                  f"{_REDRAW_CAP} tries")
+        yield train, test
 
 
 def bootstrap_ensemble(
@@ -135,12 +140,13 @@ def bootstrap_ensemble(
     """
     if n_members < 1:
         raise ValidationError(f"need at least one member, got {n_members}")
+    n_test = _test_size(d.n_points, test_fraction, mode)
     j_i = np.zeros(n_members)
     j_o = np.zeros(n_members)
     columns = []
     for j in range(n_members):
         rng = np.random.default_rng([seed, j])
-        train_idx, test_idx = _member_indices(d.n_points, test_fraction, mode, rng)
+        train_idx, test_idx = next(_draw_block(d.n_points, n_test, mode, [rng]))
         train, test = d.take(train_idx), d.take(test_idx)
         w, predictor = fit_fn(train)
         columns.append(np.asarray(w, dtype=float).ravel())
@@ -163,22 +169,27 @@ def ridge_bootstrap(
     matrix and one stacked ridge solve per block of members."""
     if n_members < 1:
         raise ValidationError(f"need at least one member, got {n_members}")
-    draws = (_member_indices(d.n_points, test_fraction, mode, np.random.default_rng([seed, j]))
-             for j in range(n_members))
+    n_test = _test_size(d.n_points, test_fraction, mode)
+
+    def draws(step):  # drawn in the blocks that are fitted together
+        for first in range(0, n_members, step):
+            yield from _draw_block(d.n_points, n_test, mode, (
+                np.random.default_rng([seed, j]) for j in range(n_members)[first : first + step]))
+
     return _ridge_members(d, basis, alpha, n_members, draws, "bootstrap member")
 
 
 def _ridge_members(d: Dataset, basis, alpha: float, n_members: int, draws, what: str):
-    """Fit one ridge model per (train rows, test rows) pair of ``draws`` and
-    score it on both sides. Runs of consecutive members whose training sets
-    have one length are stacked, at most _STACK_BYTES of rows at a time."""
+    """Fit one ridge model per (train rows, test rows) pair of ``draws(step)``
+    and score it on both sides. Runs of consecutive members whose training sets
+    have one length are stacked, at most ``step`` (_STACK_BYTES of rows) at once."""
     Phi, Y = linear.feature_matrix(basis, d.inputs), d.targets
     n_rows, width = Phi.shape
     step = max(1, _STACK_BYTES // (Phi.itemsize * n_rows * width))
     W = np.empty((n_members, width, Y.shape[1]))
     j_i, j_o = np.empty(n_members), np.empty(n_members)
     first = 0
-    for block in _blocks(draws, step):
+    for block in _blocks(draws(step), step):
         done = slice(first, first + len(block))
         W[done], j_i[done], j_o[done] = _fit_block(Phi, Y, alpha, block, first, what)
         first = done.stop
@@ -247,8 +258,8 @@ def member_predictions(Phi, weight_population) -> np.ndarray:
 
     It is filled a block of at most _STACK_BYTES of products at a time, and
     each member's column is its own matrix-vector product, bit-equal to
-    that member's own ``LinearModel.predict``; no other q x n_E array is
-    made.
+    that member's own ``LinearModel.predict``; one block's stacked product is
+    the only other array. ``ensemble_band`` calls it on blocks of query rows.
     """
     W = np.ascontiguousarray(np.asarray(weight_population, dtype=float).T)
     Phi = np.asarray(Phi, dtype=float)
@@ -258,6 +269,20 @@ def member_predictions(Phi, weight_population) -> np.ndarray:
         block = W[first : first + step, :, None]
         y_pop[:, first : first + step] = np.matmul(Phi[None], block)[:, :, 0].T
     return y_pop
+
+
+def ensemble_band(Phi, weight_population, j_i_mean: float):
+    """``bagged_band(member_predictions(Phi, weight_population), j_i_mean)`` bit
+    for bit, in blocks of _STACK_BYTES // (8 n_E) query rows, a multiple of 8
+    (OpenBLAS groups rows by 4) and at least 8; a one-row last block joins the
+    one before (numpy would take it as a dot product)."""
+    W = np.asarray(weight_population, dtype=float)
+    q = len(Phi)
+    starts = range(0, max(q - 1, 1), max(8, _STACK_BYTES // (8 * W.shape[1]) // 8 * 8))
+    y_mean, u = np.empty(q), np.empty(q)
+    for lo, hi in zip(starts, [*starts[1:], q]):
+        y_mean[lo:hi], u[lo:hi] = bagged_band(member_predictions(Phi[lo:hi], W), j_i_mean)
+    return y_mean, u
 
 
 def ensemble_predict(xg, weight_population, j_i_mean: float, predict_fn):
@@ -310,4 +335,5 @@ def ridge_cv(d: Dataset, basis: linear.BasisSpec, alpha: float, n_folds: int,
     for k, fold in enumerate(folds):
         fold_of[fold] = k
     draws = ((np.flatnonzero(fold_of != k), fold) for k, fold in enumerate(folds))
-    return CVReport(_ridge_members(d, basis, alpha, n_folds, draws, "cv fold").out_sample_mse)
+    return CVReport(_ridge_members(d, basis, alpha, n_folds, lambda step: draws, "cv fold")
+                    .out_sample_mse)

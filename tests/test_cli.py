@@ -498,8 +498,8 @@ def _one_nonzero_row_csv(tmp_path):
 
 
 def test_singular_bootstrap_member_is_named(tmp_path, capsys):
-    first = next(j for j in range(100) if 0 not in resampling._member_indices(
-        10, 0.3, "split", np.random.default_rng([0, j]))[0])
+    first = next(j for j in range(100) if 0 not in next(resampling._draw_block(
+        10, 3, "split", [np.random.default_rng([0, j])]))[0])
     assert first > 0
     capsys.readouterr()
     assert run(["bootstrap", "--input", _one_nonzero_row_csv(tmp_path), "--degree", 1,
@@ -540,9 +540,10 @@ def test_resampling_builds_features_once_and_solves_per_block(data_csv, tmp_path
 
 
 def test_ensemble_predict_peak_memory(tmp_path):
-    # q = n_E = 1000: one q x n_E population (8 MB) and the one temporary of
-    # its std, not also a stacked product and its contiguous copy
-    n_e, q = 1000, 1000
+    # n_E = 1000: the band is taken a block of 128 query rows at a time, so
+    # the peak (about 2.4 MB at q = 1000 and 3.4 MB at q = 20,000) does not
+    # grow with q as the 8 q n_E bytes of a whole population would (160 MB)
+    n_e = 1000
     rng = np.random.default_rng(0)
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
@@ -550,16 +551,17 @@ def test_ensemble_predict_peak_memory(tmp_path):
         "basis": linear.basis_to_dict(linear.Polynomial(3)),
         "weight_population": rng.standard_normal((4, n_e)).tolist(), "j_i_mean": 0.1,
     }))
-    queries = tmp_path / "q.csv"
-    queries.write_text("x0\n" + "".join(f"{x!r}\n" for x in rng.uniform(-2, 2, q).tolist()))
-    tracemalloc.start()
-    try:
-        assert run(["predict", "--model", model, "--input", queries,
-                    "--output", tmp_path / "p"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+    for q in (1000, 20_000):
+        queries = tmp_path / f"q{q}.csv"
+        queries.write_text("x0\n" + "".join(f"{x!r}\n" for x in rng.uniform(-2, 2, q).tolist()))
+        tracemalloc.start()
+        try:
+            assert run(["predict", "--model", model, "--input", queries,
+                        "--output", tmp_path / f"p{q}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"q = {q}: peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("model", ["gpr", "krr"])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regfit import linear, resampling
 from regfit.data import Dataset
@@ -70,7 +72,7 @@ class TestBootstrap:
         d = _noisy_data(50, seed=4)
         full = resampling.bootstrap_ensemble(d, _line_fit, 6, seed=11)
         rng = np.random.default_rng([11, 3])
-        train_idx, test_idx = resampling._member_indices(50, 0.3, "split", rng)
+        train_idx, test_idx = next(resampling._draw_block(50, 15, "split", [rng]))
         w, _ = _line_fit(d.take(train_idx))
         np.testing.assert_array_equal(full.weight_population[:, 3], w)
 
@@ -239,6 +241,43 @@ def test_bagged_band_of_stacked_population_equals_ensemble_predict():
     ref = resampling.ensemble_predict(xg, W, 0.04, member)
     np.testing.assert_array_equal(got[0], ref[0])
     np.testing.assert_array_equal(got[1], ref[1])
+
+
+@st.composite
+def _band_cases(draw):
+    """(q, basis width, n_E), a third of them with q one past a whole number
+    of ``ensemble_band``'s query blocks."""
+    n_e = draw(st.one_of(st.integers(1, 50), st.integers(1, 1500)))
+    width = draw(st.integers(1, 13))
+    step = max(8, resampling._STACK_BYTES // (8 * n_e) // 8 * 8)
+    one_row_tail = [k * step + 1 for k in range(1, 3000 // step + 1) if k * step < 3000]
+    if one_row_tail and draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(one_row_tail)), width, n_e
+    return draw(st.integers(1, 3000)), width, n_e
+
+
+@settings(max_examples=60, deadline=None)
+@given(_band_cases(), st.integers(0, 2**32 - 1))
+@example((3000, 13, 1500), 0)  # 38 blocks of 80 rows
+@example((2617, 13, 50), 0)  # a block of 2616 rows and a one-row tail
+def test_ensemble_band_is_bit_equal_to_the_whole_population(case, seed):
+    q, width, n_e = case
+    rng = np.random.default_rng(seed)
+    basis = linear.Polynomial(width - 1)
+    xg = rng.uniform(-1.5, 1.5, (q, 1))
+    W = rng.standard_normal((width, n_e))
+    Phi = linear.feature_matrix(basis, xg)
+    got = resampling.ensemble_band(Phi, W, 0.04)
+    ref = resampling.bagged_band(resampling.member_predictions(Phi, W), 0.04)
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+    if n_e <= 50:
+        def member(x, w):
+            return linear.LinearModel(basis, w[:, None]).predict(x)[:, 0]
+
+        ref = resampling.ensemble_predict(xg, W, 0.04, member)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
 
 
 def test_ill_conditioned_members_warn_once():
