@@ -411,8 +411,9 @@ def test_one_center_with_an_explicit_shape(data_csv, tmp_path):
     (["bootstrap", "--test-fraction", 0, "--input", "DATA"], 1),
     (["pde-solve", "--samples", 0, "--problem", "PROBLEM"], 1),
     (["symreg", "--population", 1, "--input", "DATA"], 1),
+    (["symreg", "--max-depth", 18, "--input", "DATA"], 1),
 ], ids=["gen-data", "fit", "fit-mlp-diverged", "predict", "cv", "bootstrap", "pde-solve",
-        "symreg"])
+        "symreg", "symreg-max-depth"])
 def test_refused_command_leaves_no_output_directory(data_csv, poisson_json, tmp_path, args,
                                                     code):
     out = tmp_path / "refused" / "out"

@@ -1,7 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regfit import symreg
 from regfit.data import Dataset
@@ -164,6 +168,9 @@ def test_tree_validation():
 
 
 def _pinned_dataset(n_inputs):
+    if n_inputs == "bench":  # the benchmark's symreg input: y = x^2 + x on 60 sorted x
+        x = np.sort(np.random.default_rng(0).uniform(-2, 2, 60))
+        return Dataset(x[:, None], (x * x + x)[:, None])
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, (40, n_inputs))
     y = X[:, 0] ** 2 + X[:, -1] + 0.1 * np.sin(3 * X[:, 0])
@@ -219,6 +226,18 @@ PINNED_RUNS = [
         "f7671d64b81c4681211022ddbd832e3435a8177a442784a0b5259c66bd78dd69",
         id="all-prims-md5-t3",
     ),
+    pytest.param(
+        "bench", dict(population_size=200, generations=20, seed=0),
+        "(add x0 (mul x0 x0))",
+        "a8ebf3e2bbe0768cfdf3b70af5911c5edd2d17017f39e667591c7513ea3409b1",
+        id="bench-seed-0",
+    ),
+    pytest.param(
+        "bench", dict(population_size=200, generations=20, seed=12),
+        "(add (div (sub -1.2427122930489967 x0) (add -4.7110277586638425 x0)) (mul (sub (mul (div -0.9211380699016622 -1.2427122930489967) x0) (div (sin (sin 2.5332190157690437)) -0.7987555852750319)) x0))",
+        "c8edd29e1b37df3b7c9020c9f68b914eac3c7b70ec8443222cf2722f36d30525",
+        id="bench-seed-12",
+    ),
 ]
 
 
@@ -229,16 +248,135 @@ def test_pinned_evolution(n_inputs, config, prefix, history_sha256):
     assert hashlib.sha256(history.tobytes()).hexdigest() == history_sha256
 
 
+@pytest.mark.parametrize("n_inputs, config, prefix, history_sha256",
+                         [p for p in PINNED_RUNS if p.id in ("all-prims-md5-t3", "bench-seed-12")])
+def test_pinned_evolution_with_a_small_evaluation_budget(monkeypatch, n_inputs, config, prefix,
+                                                         history_sha256):
+    # 4 KiB splits every generation into many eval_trees calls and their rows
+    # into narrow blocks; the run must not change
+    monkeypatch.setattr(symreg, "_EVAL_BYTES", 4096)
+    test_pinned_evolution(n_inputs, config, prefix, history_sha256)
+
+
 def test_evolve_evaluates_each_distinct_tree_once(monkeypatch):
     evaluated = []
-    real_eval = symreg.eval_tree
+    real_eval = symreg.eval_trees
 
-    def counting_eval(t, X):
-        evaluated.append(symreg.to_prefix(t))
-        return real_eval(t, X)
+    def counting_eval(trees, X):
+        evaluated.extend(symreg.to_prefix(t) for t in trees)
+        return real_eval(trees, X)
 
-    monkeypatch.setattr(symreg, "eval_tree", counting_eval)
+    monkeypatch.setattr(symreg, "eval_trees", counting_eval)
     cfg = symreg.GPConfig(population_size=40, generations=8, seed=11)
     best, _ = symreg.evolve(_pinned_dataset(1), cfg)
     assert len(evaluated) == len(set(evaluated))
     assert symreg.to_prefix(best) in evaluated
+
+
+def test_evolve_memory_is_bounded_by_the_evaluation_budget():
+    n = 20_000
+    x = np.sort(np.random.default_rng(0).uniform(-2, 2, n))
+    d = Dataset(x[:, None], (x * x + x)[:, None])
+    tracemalloc.start()
+    try:
+        symreg.evolve(d, symreg.GPConfig(population_size=200, generations=2, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # At n rows, evolve hands eval_trees trees whose nodes fit _EVAL_BYTES at
+    # all rows, so here each call holds a few trees and each block has more
+    # rows than nodes: nothing is gathered. At once there are the node values
+    # (_EVAL_BYTES), the call's root values (_EVAL_BYTES), one node's
+    # temporaries (at most 4 arrays of n values, for protected division), and
+    # 1 MiB of trees, fitness cache and other Python objects.
+    bound = 2 * symreg._EVAL_BYTES + 4 * 8 * n + (1 << 20)
+    assert peak < bound, (peak, bound)
+
+
+def test_max_depth_has_kozas_ceiling():
+    assert symreg.GPConfig(max_depth=symreg.DEPTH_LIMIT).max_depth == 17
+    with pytest.raises(ValidationError, match="at most 17"):
+        symreg.GPConfig(max_depth=18)
+
+
+_ALL_PRIMITIVES = ("add", "sub", "mul", "div", "sin", "cos", "exp", "var", "const")
+
+
+def _fold_oracle(t, X):
+    """The evaluator eval_trees replaced: a bottom-up fold, one numpy call per
+    node and then the clamp."""
+    functions = {
+        "add": np.add, "sub": np.subtract, "mul": np.multiply,
+        "sin": np.sin, "cos": np.cos, "exp": np.exp,
+        "div": lambda a, b: np.where(np.abs(b) < symreg.DIV_GUARD, 1.0,
+                                     a / np.where(b == 0.0, 1.0, b)),
+    }
+    stack = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op, payload in reversed(t):
+            if op == "const":
+                stack.append(np.full(X.shape[0], payload))
+            elif op == "var":
+                stack.append(X[:, payload].copy())
+            else:
+                out = functions[op](*[stack.pop() for _ in range(symreg.ARITY[op])])
+                np.minimum(np.maximum(out, -symreg.VALUE_CLAMP, out=out), symreg.VALUE_CLAMP,
+                           out=out)
+                stack.append(out)
+    return stack[0]
+
+
+def _special_trees():
+    """Trees that reach the division guard, the clamp, exp overflow and signed zeros."""
+    x0 = var(0)
+    return [
+        node("div", x0, node("sub", x0, x0)),                   # 0 denominator
+        node("div", const(1.0), node("mul", x0, const(1e-13))),  # tiny denominator
+        node("mul", node("mul", x0, x0), x0),                    # overflows for |x| > 1e100
+        node("exp", node("mul", x0, const(5.0))),                 # exp overflows for x > 142
+        node("sub", node("exp", node("exp", x0)), node("exp", node("exp", x0))),
+        node("sub", const(-0.0), const(0.0)),                    # -0.0 must survive
+        node("mul", const(-0.0), node("cos", x0)),
+        const(-0.0), const(0.0), x0,
+    ]
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -5e-13, 1.0, 150.0, 800.0, -800.0, 1e150, -1e200, 1e300]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@pytest.mark.parametrize("budget", [None, 64, 4096], ids=["default", "1-row-blocks", "4KiB"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_inputs=st.integers(1, 3), n_rows=st.integers(1, 300),
+       seeds=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 8), st.booleans()),
+                      min_size=1, max_size=12))
+def test_eval_trees_matches_the_fold_oracle_bit_for_bit(budget, data, n_inputs, n_rows, seeds):
+    X = data.draw(hnp.arrays(float, (n_rows, n_inputs), elements=_VALUES))
+    cfg = symreg.GPConfig(primitives=_ALL_PRIMITIVES, max_depth=8)
+    trees = [symreg.random_tree(np.random.default_rng(s), cfg, n_inputs, depth, full)
+             for s, depth, full in seeds] + _special_trees()
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(symreg, "_EVAL_BYTES", budget)
+        out = symreg.eval_trees(trees, X)
+    assert out.shape == (len(trees), n_rows)
+    for t, got in zip(trees, out):
+        assert got.tobytes() == _fold_oracle(t, X).tobytes(), symreg.to_prefix(t)
+
+
+def test_special_trees_reach_the_guard_the_clamp_and_signed_zeros():
+    X = np.array([[2.0], [1e150], [800.0]])
+    out = symreg.eval_trees(_special_trees(), X)
+    assert np.all(out[0] == 1.0) and out[1, 0] == 1.0             # the division guard
+    assert out[2, 1] == symreg.VALUE_CLAMP                           # overflow, clamped
+    assert out[3, 2] == symreg.VALUE_CLAMP                           # exp overflow, clamped
+    assert np.all(np.signbit(out[5])) and np.all(np.signbit(out[7]))  # -0.0 kept apart
+    assert not np.any(np.signbit(out[8]))
+
+
+def test_out_of_range_variable_keeps_its_message():
+    with pytest.raises(ValidationError) as err:
+        symreg.eval_trees([var(0), node("add", var(0), var(2))], np.zeros((3, 2)))
+    assert str(err.value) == "variable x2 out of range for 2 input columns"
