@@ -64,8 +64,7 @@ def _write_report(path: Path, args, fields: dict) -> None:
                        **fields})
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
     _write_table(path, header, (table,), "\n")
 
 
@@ -181,7 +180,7 @@ def cmd_fit(args) -> int:
     _write_json(out / "model.json", doc)
     if history is not None:
         _write_csv(out / "history.csv", ["epoch", "loss"],
-                   [(i, v) for i, v in enumerate(history)])
+                   np.column_stack([np.arange(history.size), history]))
     _write_report(out / "report.json", args, {
         "model": args.model,
         "loss": args.loss,
@@ -252,7 +251,7 @@ def cmd_cv(args) -> int:
     report = resampling.ridge_cv(d, basis, args.alpha, args.folds, seed=args.seed)
     out = _outdir(args)
     _write_csv(out / "folds.csv", ["fold", "J_o"],
-               [(k, v) for k, v in enumerate(report.per_fold_mse)])
+               np.column_stack([np.arange(args.folds), report.per_fold_mse]))
     _write_report(out / "summary.json", args, {
         "K": args.folds,
         "mean": report.mean,
@@ -272,8 +271,8 @@ def cmd_bootstrap(args) -> int:
     )
     out = _outdir(args)
     _write_csv(out / "members.csv", ["member", "J_i", "J_o"],
-               [(j, result.in_sample_mse[j], result.out_sample_mse[j])
-                for j in range(result.n_members)])
+               np.column_stack([np.arange(result.n_members), result.in_sample_mse,
+                                result.out_sample_mse]))
     _write_report(out / "summary.json", args, {
         "n_E": result.n_members,
         "mode": args.mode,
@@ -338,12 +337,15 @@ def cmd_symreg(args) -> int:
         seed=args.seed,
     )
     best, history = symreg.evolve(d, cfg)
+    if not np.isfinite(history[-1, 0]):
+        raise NumericalError("no tree has a finite mean squared error in any generation; "
+                             "no output written")
     out = _outdir(args)
     (out / "expression.txt").write_text(
         f"{symreg.to_prefix(best)}\n{symreg.to_infix(best)}\n"
     )
     _write_csv(out / "history.csv", ["generation", "best_fitness", "mean_fitness"],
-               [(g, history[g, 0], history[g, 1]) for g in range(history.shape[0])])
+               np.column_stack([np.arange(args.generations), history]))
     _write_report(out / "summary.json", args, {
         "best_fitness": float(history[-1, 0]),
         "generations": args.generations,

@@ -201,18 +201,6 @@ class GPRPosterior:
     covariance: np.ndarray
     noise_variance: float
 
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float, copy=True)
-        cov = np.array(self.covariance, dtype=float, copy=True)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ValidationError(
-                f"covariance shape {cov.shape} does not match {mean.shape[0]} queries"
-            )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
     @property
     def variances(self) -> np.ndarray:
         # floor at zero: re-symmetrization roundoff can leave -1e-32-level dust
@@ -376,7 +364,8 @@ def _kernel_fit(kind: str, d: Dataset, kernel: KernelSpec, reg: float, name: str
     if reg < 0:
         raise ValidationError(f"{name} must be nonnegative, got {reg}")
     factor = _factor_kernel(kernel, d.inputs, reg)
-    return KernelModel(kind, kernel, d.inputs, cho_solve(factor, d.targets), reg)
+    dual_coef = cho_solve(factor, d.targets, check_finite=False)  # finite: _factor checked K
+    return KernelModel(kind, kernel, d.inputs, dual_coef, reg)
 
 
 def interp1_linear(x_train, y_train, xq: float) -> float:

@@ -52,18 +52,6 @@ class EnsembleResult:
     out_sample_mse: np.ndarray
     weight_population: np.ndarray
 
-    def __post_init__(self):
-        j_i = np.asarray(self.in_sample_mse, dtype=float)
-        j_o = np.asarray(self.out_sample_mse, dtype=float)
-        w = np.asarray(self.weight_population, dtype=float)
-        if not (j_i >= 0).all() or not (j_o >= 0).all():
-            raise ValidationError("MSE values must be nonnegative")
-        if w.shape[1] != j_i.size or j_o.size != j_i.size:
-            raise ValidationError("population column count must equal the member count")
-        object.__setattr__(self, "in_sample_mse", j_i)
-        object.__setattr__(self, "out_sample_mse", j_o)
-        object.__setattr__(self, "weight_population", w)
-
     @property
     def n_members(self) -> int:
         return self.in_sample_mse.size
@@ -74,12 +62,6 @@ class CVReport:
     """Per-fold out-of-sample MSE with its mean and (population) std."""
 
     per_fold_mse: np.ndarray
-
-    def __post_init__(self):
-        folds = np.asarray(self.per_fold_mse, dtype=float)
-        if folds.size < 2:
-            raise ValidationError("cross-validation needs at least 2 folds")
-        object.__setattr__(self, "per_fold_mse", folds)
 
     @property
     def mean(self) -> float:
@@ -322,7 +304,7 @@ def kfold_cv(d: Dataset, fit_fn, n_folds: int, seed: int = 0) -> CVReport:
         test = d.take(fold)
         predictor = fit_fn(train)
         scores.append(mse(test.targets, predictor.predict(test.inputs)))
-    return CVReport(scores)
+    return CVReport(np.array(scores))
 
 
 def ridge_cv(d: Dataset, basis: linear.BasisSpec, alpha: float, n_folds: int,

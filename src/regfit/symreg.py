@@ -285,9 +285,11 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
     """Run the genetic program; returns the best-ever tree and a
     (generations x 2) history of [best-so-far fitness, mean fitness].
 
-    Fitness is the MSE of the tree's predictions against the targets.
-    Deterministic given (dataset, config); non-convergence is a valid
-    outcome.
+    Fitness is the MSE of the tree's predictions against the targets, inf
+    where it is not finite; the best tree is the first generation leader
+    with the lowest (fitness, size), so one exists even if no fitness is
+    finite. Deterministic given (dataset, config); non-convergence is a
+    valid outcome.
     """
     if d.n_outputs != 1:
         raise ValidationError("symbolic regression supports a single target column")
@@ -330,22 +332,17 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
     n_elite = int(np.rint(cfg.elitism_rate * cfg.population_size))
     var_rates = np.array([cfg.replication_rate, cfg.crossover_rate, cfg.mutation_rate])
     total = var_rates.sum()
-    best_tree = None
-    best_fit = np.inf
+    best = (np.inf, np.inf, None)  # (fitness, size, tree): the first leader beats it
     history = np.zeros((cfg.generations, 2))
     for gen in range(cfg.generations):
         fit = score(population)  # Python floats: they compare faster than numpy's
         keys = [(f, len(t), i) for i, (f, t) in enumerate(zip(fit, population))]
         order = sorted(range(cfg.population_size), key=keys.__getitem__)
-        leader = order[0]
-        if fit[leader] < best_fit or (
-            fit[leader] == best_fit
-            and best_tree is not None
-            and len(population[leader]) < len(best_tree)
-        ):
-            best_tree, best_fit = population[leader], fit[leader]
+        leader = keys[order[0]]
+        if leader[:2] < best[:2]:
+            best = (*leader[:2], population[leader[2]])
         finite = [f for f in fit if f != np.inf]  # score() maps non-finite to inf
-        history[gen] = (best_fit, np.mean(finite) if finite else np.inf)
+        history[gen] = (best[0], np.mean(finite) if finite else np.inf)
         if gen == cfg.generations - 1:
             break
         next_pop = [population[i] for i in order[:n_elite]]
@@ -361,4 +358,4 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
             else:
                 next_pop.append(mutate(tournament(keys), rng, cfg, n_inputs))
         population = next_pop
-    return best_tree, history
+    return best[2], history

@@ -231,6 +231,20 @@ def test_symreg_artifacts(tmp_path):
     assert json.loads((out / "summary.json").read_text())["seed"] == 0
 
 
+def test_symreg_with_no_finite_fitness_exits_2(tmp_path, capsys):
+    # every tree's squared error on targets near 1e200 overflows
+    train = tmp_path / "huge.csv"
+    train.write_text("x0,y0\n0,1e200\n1,2e200\n2,-3e200\n")
+    out = tmp_path / "sr"
+    capsys.readouterr()
+    assert run(["symreg", "--input", train, "--population", 10, "--generations", 2,
+                "--output", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+    assert "finite mean squared error" in err[0]
+    assert not out.exists()
+
+
 def test_inputs_do_not_get_mutated(data_csv, tmp_path):
     before = data_csv.read_bytes()
     run(["fit", "--input", data_csv, "--model", "ridge", "--output", tmp_path / "o"])

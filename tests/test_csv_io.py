@@ -180,13 +180,13 @@ def test_writers_match_csv_writer_across_chunks(tmp_path):
     expected = _old_table_bytes(["x0", "x1", "y0"], np.hstack([d.inputs, d.targets]), "\r\n")
     assert (tmp_path / "d.csv").read_bytes() == expected
 
-    rows = [(i, v) for i, v in enumerate(rng.standard_normal(n))]
+    rows = np.column_stack([np.arange(n), rng.standard_normal(n)])
     cli._write_csv(tmp_path / "h.csv", ["epoch", "loss"], rows)
     assert (tmp_path / "h.csv").read_bytes() == _old_table_bytes(["epoch", "loss"], rows, "\n")
 
 
 def test_zero_row_table_writes_only_its_header(tmp_path):
-    cli._write_csv(tmp_path / "h.csv", ["epoch", "loss"], [])
+    cli._write_csv(tmp_path / "h.csv", ["epoch", "loss"], np.empty((0, 2)))
     assert (tmp_path / "h.csv").read_bytes() == b"epoch,loss\n"
 
 

@@ -132,6 +132,14 @@ class TestEvolve:
         assert symreg.to_prefix(b1) == symreg.to_prefix(b2)
         np.testing.assert_array_equal(h1, h2)
 
+    def test_a_run_with_no_finite_fitness_still_has_a_best_tree(self):
+        # every tree's squared error on targets near 1e200 overflows
+        d = Dataset(np.arange(3.0)[:, None], np.array([[1e200], [2e200], [-3e200]]))
+        cfg = symreg.GPConfig(population_size=10, generations=2, seed=0)
+        best, history = symreg.evolve(d, cfg)
+        assert np.isinf(history).all()
+        assert symreg.to_prefix(best) and symreg.tree_depth(best) <= cfg.max_depth
+
     def test_every_individual_respects_depth(self):
         # run with instrumented max depth via the variation operators
         cfg = symreg.GPConfig(population_size=40, generations=10, max_depth=4, seed=2)
@@ -143,6 +151,9 @@ def test_serialization_forms():
     t = node("add", node("mul", var(0), var(0)), var(0))
     assert symreg.to_prefix(t) == "(add (mul x0 x0) x0)"
     assert symreg.to_infix(t) == "((x0 * x0) + x0)"
+    unary = node("exp", node("sub", var(1), node("sin", const(2.0))))
+    assert symreg.to_prefix(unary) == "(exp (sub x1 (sin 2.0)))"
+    assert symreg.to_infix(unary) == "exp((x1 - sin(2.0)))"
 
 
 def test_config_validation():
