@@ -12,12 +12,14 @@ posterior conditions a zero-mean joint Gaussian on the training targets:
 
 where q are query inputs and t training inputs (Rasmussen & Williams 2006,
 *GPML*, Alg. 2.1). Variances alone need only the diagonal of K(q, q), which
-``kernel_diag`` gives without forming the matrix. K(t, t) is factored in
-the buffer it is built in and queries are answered in blocks of at most
-``_BLOCK_BYTES`` of K(block, t), so memory is O(n^2 + block n) for any q.
-Gaussian kernels sum squared distances one input column at a time, never an
-n1 x n2 x n_x tensor. Roundoff's tiny negative posterior eigenvalues are
-clamped to zero.
+``kernel_diag`` gives without forming the matrix. A fit or a model prediction
+holds one n x n factor plus one query block for any q: K(t, t) is factored in
+the buffer it is built in, queries go one block of at most ``_BLOCK_BYTES`` of
+K(block, t) at a time, and finiteness is read from min and max (no mask).
+Building a kernel matrix adds one more matrix of its size for a Gaussian
+kernel on two or more input columns (the squared differences of columns 2..)
+and for a polynomial kernel, never an n1 x n2 x n_x tensor. Roundoff's tiny
+negative posterior eigenvalues are clamped to zero.
 
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
@@ -42,9 +44,10 @@ from .errors import (
 DIAGONAL_JITTER = 1e-10
 
 # K(block, t) bytes per query block: _BLOCK_BYTES // (8 n) rows, rounded down
-# to a multiple of 8 (at least 1). n = 1500, q = 3000, 2 cores: a variance
-# prediction took ~300 ms in 2 MiB blocks, 340 in 1 MiB, 490 in 4 MiB. The size
-# is part of the bytes: 2 MiB kept the one-block bits there, 1 and 4 MiB did not.
+# to a multiple of 8 (at least 1); a prediction holds one block and the n x n
+# factor. n = 1500, q = 3000, 2 cores: a variance prediction took ~300 ms in
+# 2 MiB blocks, 340 in 1 MiB, 490 in 4 MiB. The size is part of the bytes:
+# 2 MiB kept the one-block bits there, 1 and 4 MiB did not.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -167,7 +170,7 @@ def _factor(build, reg: float):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             A = build()
             A[np.diag_indices_from(A)] += shift
-        if not np.isfinite(A).all():
+        if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN propagates
             raise NumericalError(f"kernel matrix plus {shift} I has non-finite entries")
         return A
 
@@ -224,14 +227,12 @@ def _query_kernel(kernel: KernelSpec, Xq, X, first: int = 0) -> np.ndarray:
     is positive semi-definite, so K_ij^2 <= K_ii K_jj."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         K = kernel_matrix(kernel, Xq, X)
-    finite = np.isfinite(K)
-    rows = finite.all(axis=1)
-    if X is Xq and not finite.diagonal().all():
-        rows = finite.diagonal()
-    bad = np.flatnonzero(~rows)
-    if bad.size:
-        raise NumericalError(f"kernel values of query row {first + bad[0] + 1} are not finite")
-    return K
+    if not K.size or np.isfinite(K.min()) and np.isfinite(K.max()):  # NaN propagates
+        return K
+    finite = np.isfinite(K)  # a mask only to name the row
+    rows = finite.diagonal() if X is Xq and not finite.diagonal().all() else finite.all(axis=1)
+    bad = np.flatnonzero(~rows)[0]
+    raise NumericalError(f"kernel values of query row {first + bad + 1} are not finite")
 
 
 def gpr_posterior(
@@ -298,7 +299,8 @@ class KernelModel:
         """Posterior mean K(q, t) dual_coef and latent variance
         diag K(q, q) - sum_i v_iq^2 with v = L^-1 K(t, q), floored at 0; the
         training block is factored again, and queries are answered in blocks
-        of _BLOCK_BYTES of K(block, t), so memory is O(n^2 + block n) for any q."""
+        of _BLOCK_BYTES of K(block, t), so memory is the n x n factor plus one
+        block for any q."""
         Xq = np.atleast_2d(np.asarray(X, dtype=float))
         L, _ = _factor_kernel(self.kernel, self.train_inputs, self.regularizer)
         mean, vv = self._answer(Xq, L)
@@ -319,6 +321,7 @@ class KernelModel:
                 v = solve_triangular(L, K_bt.T, lower=True, overwrite_b=True,
                                      check_finite=False)
                 vv[first : first + step] = np.einsum("ij,ij->j", v, v)
+            K_bt = v = None  # v is K_bt's buffer: free it before the next block
         return mean, vv
 
     def to_dict(self) -> dict:

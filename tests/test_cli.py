@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import regfit
-from regfit import cli, linear, resampling
+from regfit import cli, kernels, linear, losses, resampling
 from regfit.data import load_csv
 
 
@@ -636,6 +636,21 @@ def test_mlp_final_loss_is_the_last_history_loss(data_csv, tmp_path, optimizer):
                 "--epochs", 4, "--seed", 5, "--input", data_csv, "--output", out]) == 0
     history = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1)
     assert json.loads((out / "report.json").read_text())["final_loss"] == history[-1, 1]
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "krr"], ["--model", "gpr"],
+    ["--model", "krr", "--kernel", "polynomial", "--alpha", 0.1],
+], ids=["krr", "gpr", "krr-polynomial"])
+def test_kernel_final_loss_is_the_mse_of_predict_on_the_stored_inputs(data_csv, tmp_path, args):
+    # not Y - reg * dual_coef, the in-sample prediction if (K + reg I) a = Y were
+    # solved exactly: the default krr (reg 0, jitter-rescued, ill-conditioned)
+    # does not interpolate, and that shortcut would report 0.0 for its 0.477
+    out = tmp_path / "fit"
+    assert run(["fit", *args, "--input", data_csv, "--output", out]) == 0
+    model = kernels.KernelModel.from_dict(json.loads((out / "model.json").read_text()))
+    expected = losses.mse(load_csv(data_csv).targets, model.predict(model.train_inputs))
+    assert json.loads((out / "report.json").read_text())["final_loss"] == expected
 
 
 @pytest.mark.parametrize("output", ["afile", "afile/sub"], ids=["names-a-file", "under-a-file"])

@@ -264,8 +264,9 @@ class TestGPR:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(L, expected)
-        # the copy that becomes the factor, plus check_finite's boolean mask
-        assert peak < 1.25 * K.nbytes
+        # the copy that becomes the factor, plus O(n) for the diagonal shift;
+        # the finiteness test reads min and max and builds no n x n mask
+        assert peak < K.nbytes + 64 * len(K), f"peak {peak} B, K {K.nbytes} B"
 
     def test_fitted_model_round_trip(self):
         d = self._train()
@@ -350,6 +351,9 @@ def _peak(call):
         tracemalloc.stop()
 
 
+MiB = 1 << 20
+
+
 def test_variance_peak_does_not_grow_with_queries():
     # n = 1000: K(t, t) is 8 MB; 600 and 3000 queries both span several
     # _BLOCK_BYTES blocks, so only the q-long mean and variance differ
@@ -362,10 +366,25 @@ def test_variance_peak_does_not_grow_with_queries():
 
 
 def test_gpr_fit_factors_the_kernel_in_its_own_buffer():
-    d, _ = _gp_1d(1000)
+    # K(t, t) is the one n x n buffer, factored where it is built and tested
+    # for finiteness without a mask
+    d, _ = _gp_1d(1500)
     peak = _peak(lambda: kernels.gpr_fit(d, kernels.GaussianKernel(4.0), 1e-2))
-    # K itself plus the boolean mask of its finiteness check
-    assert peak < 1.25 * 8 * d.n_points**2, f"peak {peak / 1e6:.1f} MB"
+    print(f"gpr_fit peak {peak / MiB:.2f} MiB")
+    assert peak <= 8 * d.n_points**2 + MiB, f"peak {peak / MiB:.2f} MiB"
+
+
+@pytest.mark.parametrize("kern", [kernels.GaussianKernel(4.0), kernels.LinearKernel()])
+def test_variance_holds_the_factor_and_one_query_block(kern):
+    # one input column: 3000 queries span 18 blocks, and block k is freed
+    # before block k + 1 is built
+    d, rng = _gp_1d(1500)
+    m = kernels.gpr_fit(d, kern, 1e-2)
+    Xq = rng.uniform(-2, 2, (3000, 1))
+    peak = _peak(lambda: m.predict_with_variance(Xq))
+    print(f"{kern} predict_with_variance peak {peak / MiB:.2f} MiB")
+    bound = 8 * d.n_points**2 + kernels._BLOCK_BYTES + MiB
+    assert peak <= bound, f"peak {peak / MiB:.2f} MiB"
 
 
 @pytest.mark.parametrize("kern", KERNELS)
@@ -395,6 +414,36 @@ def test_non_finite_kernel_values_name_the_query_row():
     for predict in (m.predict, m.predict_with_variance):
         with pytest.raises(NumericalError, match="query row 3 are not finite"):
             predict(Xq)
+
+
+# a linear kernel on a row of +-1e200 overflows to +-inf against the first
+# training row and stays finite against the second; a NaN input gives NaN
+_HUGE_TRAIN = np.array([[1e200, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad_row, only", [
+    ([1e200, 0.0], np.inf), ([-1e200, 0.0], -np.inf), ([np.nan, 0.0], np.nan),
+], ids=["inf", "-inf", "nan"])
+def test_query_kernel_names_the_first_row_with_only_nan_or_only_inf(bad_row, only):
+    Xq = np.array([[0.5, -0.5], [1.0, 2.0], bad_row, [3.0, 4.0], bad_row])
+    with np.errstate(over="ignore"):
+        K = kernels.kernel_matrix(kernels.LinearKernel(), Xq, _HUGE_TRAIN)
+    bad = K[~np.isfinite(K)]
+    assert bad.size
+    np.testing.assert_array_equal(bad, np.full_like(bad, only))  # no other kind
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="query row 3 are not finite"):
+            kernels._query_kernel(kernels.LinearKernel(), Xq, _HUGE_TRAIN)
+        with pytest.raises(NumericalError, match="query row 13 are not finite"):
+            kernels._query_kernel(kernels.LinearKernel(), Xq, _HUGE_TRAIN, first=10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_refuses_a_kernel_with_only_nan_or_only_inf(bad):
+    K = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, bad], [0.0, bad, 1.0]], order="F")
+    with pytest.raises(NumericalError, match=r"kernel matrix plus 0\.1 I has non-finite entries"):
+        kernels._factor(lambda: K.copy(order="F"), 0.1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regfit import linear, resampling
@@ -226,40 +226,6 @@ def test_ridge_cv_equals_generic(n_folds, basis, small_blocks):
     ref = resampling.kfold_cv(d, lambda t: linear.ridge_fit(t, basis, 0.01), n_folds, seed=5)
     np.testing.assert_array_equal(got.per_fold_mse, ref.per_fold_mse)
     assert (got.mean, got.std) == (ref.mean, ref.std)
-
-
-@settings(max_examples=80, deadline=None)
-@given(degree=st.integers(0, 5), alpha=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
-       grid=st.lists(st.integers(-30, 30), min_size=7, max_size=60, unique=True),
-       data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_leave_one_out_cv_equals_the_hat_matrix_residuals(degree, alpha, grid, data, seed):
-    """ridge_cv with one fold per row scores row i by r_i^2 with the LOO
-    residual r_i = e_i / (1 - h_ii), e = (I - H) y and H = Phi A^-1 Phi^T,
-    A = Phi^T Phi + alpha I (Sherman-Morrison: deleting row i downdates A).
-    Both sides carry roundoff: forming A sums n products per entry, and a
-    solve with A loses up to cond(A) of that, magnified by 1 / (1 - h_ii) in
-    the division; so the residuals, relative to the largest one, agree to
-
-        tol = 4 (n + p) cond(A) eps / (1 - max_i h_ii),
-
-    p = degree + 1 (a seeded sweep of 1500 random designs reached 0.03 tol)."""
-    p = degree + 1
-    x = np.array(grid)[:, None] / 10.0  # distinct, 0.1 apart at least, n >= p + 2
-    n = x.size
-    basis = linear.Polynomial(degree)
-    Phi = linear.feature_matrix(basis, x)
-    A = Phi.T @ Phi + alpha * np.eye(p)
-    h = np.einsum("ij,ji->i", Phi, np.linalg.solve(A, Phi.T))
-    tol = 4 * (n + p) * np.linalg.cond(A) * np.finfo(float).eps / (1.0 - h.max())
-    assume(tol < 1e-6)  # a looser bound would certify little
-    y = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
-    report = resampling.ridge_cv(Dataset(x, y[:, None]), basis, alpha, n, seed=seed)
-    loo = (y - Phi @ np.linalg.solve(A, Phi.T @ y)) / (1.0 - h)
-    rows = np.concatenate(resampling.kfold_indices(n, n, seed))  # fold k holds row rows[k]
-    # a residual below sqrt(tiny) squares to a subnormal or to 0: its digits are lost
-    lost = np.sqrt(np.finfo(float).tiny)
-    assert np.abs(np.sqrt(report.per_fold_mse) - np.abs(loo[rows])).max() <= (
-        tol * np.abs(loo).max() + lost)
 
 
 def test_bagged_band_of_stacked_population_equals_ensemble_predict():
