@@ -214,7 +214,7 @@ def _clamp_negative_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symmetrize, then zero out tiny negative eigenvalues from roundoff."""
     sym = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= 0.0:
+    if not vals.size or vals[0] >= 0.0:  # a 0 x 0 covariance has no eigenvalue
         return sym
     vals = np.maximum(vals, 0.0)
     return (vecs * vals) @ vecs.T

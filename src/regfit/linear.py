@@ -270,23 +270,6 @@ def soft_threshold(z, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
-def _largest_eigenvalue(A: np.ndarray, iters: int = 200, tol: float = 1e-12) -> float:
-    """Power iteration on a symmetric PSD matrix, deterministic start."""
-    v = np.ones(A.shape[0]) / np.sqrt(A.shape[0])
-    lam = 0.0
-    for _ in range(iters):
-        Av = A @ v
-        norm = np.linalg.norm(Av)
-        if norm == 0.0:
-            return 0.0
-        v_next = Av / norm
-        lam_next = float(v_next @ A @ v_next)
-        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)):
-            return lam_next
-        v, lam = v_next, lam_next
-    return lam
-
-
 def lasso_objective(Phi: np.ndarray, Y: np.ndarray, W: np.ndarray, alpha: float) -> float:
     resid = Y - Phi @ W
     return float(np.sum(resid * resid) / Phi.shape[0] + alpha * np.sum(np.abs(W)))
@@ -302,7 +285,7 @@ def lasso_fit(
     """l1-penalized least squares by proximal gradient descent.
 
     Minimizes (1/n_p)||Y - Phi W||^2 + alpha ||W||_1 with step size 1/L,
-    L the largest eigenvalue of (2/n_p) Phi^T Phi (power iteration), and
+    L the largest eigenvalue of (2/n_p) Phi^T Phi (LAPACK's ``eigvalsh``), and
     the soft-threshold prox. Stops when the largest parameter change drops
     below ``tol`` (>= 0); on hitting ``max_iters`` (>= 1) first, the last
     iterate is returned and a RuntimeWarning is emitted.
@@ -315,7 +298,7 @@ def lasso_fit(
     Phi = feature_matrix(basis, d.inputs)
     Y = d.targets
     n = Phi.shape[0]
-    L = _largest_eigenvalue((2.0 / n) * (Phi.T @ Phi))
+    L = np.linalg.eigvalsh((2.0 / n) * (Phi.T @ Phi))[-1]
     if L <= 0:
         raise NumericalError("feature matrix has zero curvature; cannot pick a step size")
     step = 1.0 / L

@@ -18,8 +18,9 @@ every member's own rows into a stack and fit all members with one stacked
 ``linear.ridge_solve`` per block of members; they draw the same members
 and give bit-identical weights and errors. The CLI's ``bootstrap`` and
 ``cv`` run them; its ensemble ``predict`` runs ``ensemble_band``, which takes
-``member_predictions`` then ``bagged_band`` a block of query rows at a time,
-in O(q + rows n_E) memory. All have the bytes of the one-member-at-a-time path.
+one stacked product (``member_predictions``) then ``bagged_band`` a block of
+query rows at a time, in O(q + rows n_E) memory. All have the bytes of the
+one-member-at-a-time path.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _REDRAW_CAP = 100
 # _STACK_BYTES // (8 * n_p * n_basis) members (at least one) keeps each
 # stacked array under it whatever the member count. Members are solved slice
 # by slice, so where the block boundaries fall changes no bit of the results.
-# ``member_predictions`` and ``ensemble_band`` bound their blocks the same way.
+# ``ensemble_band`` bounds each query block's predictions by it too.
 _STACK_BYTES = 1 << 20
 
 
@@ -235,22 +236,13 @@ def bagged_band(y_pop, j_i_mean: float):
 
 def member_predictions(Phi, weight_population) -> np.ndarray:
     """The q x n_E predictions Phi w_j of every column w_j of an n_w x n_E
-    linear weight population, in one C-contiguous array (``bagged_band``
-    reduces it without a copy).
-
-    It is filled a block of at most _STACK_BYTES of products at a time, and
-    each member's column is its own matrix-vector product, bit-equal to
-    that member's own ``LinearModel.predict``; one block's stacked product is
-    the only other array. ``ensemble_band`` calls it on blocks of query rows.
+    linear weight population, as a view of one stacked product in which each
+    member's column is its own matrix-vector product, bit-equal to that
+    member's own ``LinearModel.predict``. ``ensemble_band`` bounds its
+    8 q n_E bytes by calling it on blocks of query rows.
     """
     W = np.ascontiguousarray(np.asarray(weight_population, dtype=float).T)
-    Phi = np.asarray(Phi, dtype=float)
-    y_pop = np.empty((Phi.shape[0], W.shape[0]))
-    step = max(1, _STACK_BYTES // (y_pop.itemsize * max(1, Phi.shape[0])))
-    for first in range(0, W.shape[0], step):
-        block = W[first : first + step, :, None]
-        y_pop[:, first : first + step] = np.matmul(Phi[None], block)[:, :, 0].T
-    return y_pop
+    return np.matmul(np.asarray(Phi, dtype=float)[None], W[:, :, None])[:, :, 0].T
 
 
 def ensemble_band(Phi, weight_population, j_i_mean: float):
@@ -258,7 +250,7 @@ def ensemble_band(Phi, weight_population, j_i_mean: float):
     for bit, in blocks of _STACK_BYTES // (8 n_E) query rows, a multiple of 8
     (OpenBLAS groups rows by 4) and at least 8; a one-row last block joins the
     one before (numpy would take it as a dot product)."""
-    W = np.asarray(weight_population, dtype=float)
+    W = np.asfortranarray(weight_population, dtype=float)  # W.T C-ordered once, not per block
     q = len(Phi)
     starts = range(0, max(q - 1, 1), max(8, _STACK_BYTES // (8 * W.shape[1]) // 8 * 8))
     y_mean, u = np.empty(q), np.empty(q)

@@ -4,6 +4,8 @@ implementation, so a fault that both copies share still shows. Every
 tolerance is derived from the conditioning of the problem (the formula is in
 the docstring), never fitted to the observed error."""
 
+import warnings
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -78,3 +80,63 @@ def test_linear_kernel_ridge_equals_primal_ridge(data, n, p, alpha):
     scale = np.linalg.norm(w) + np.linalg.norm(X, 2) * np.linalg.norm(krr.dual_coef)
     tol = 4 * (n + p) * np.finfo(float).eps * np.linalg.cond(A) * scale
     assert np.all(np.abs(krr.predict(Xq) - Xq @ w)[:, 0] <= tol * np.linalg.norm(Xq, axis=1))
+
+
+@st.composite
+def _lasso_bases(draw):
+    """A polynomial of degree 0-8 or 1-9 Gaussian bumps centred on [-1, 1]."""
+    if draw(st.booleans()):
+        return linear.Polynomial(draw(st.integers(0, 8)))
+    centers = np.linspace(-1.0, 1.0, draw(st.integers(1, 9)))[:, None]
+    shapes = linear.default_rbf_shapes(centers) if len(centers) > 1 else 1.0
+    return linear.GaussianRBF(centers, shapes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(basis=_lasso_bases(), n=st.integers(2, 60), n_y=st.integers(1, 2),
+       alpha=st.floats(1e-4, 1.0), tol=st.floats(1e-12, 1e-6),
+       seed=st.integers(0, 2**32 - 1))
+def test_converged_lasso_meets_the_kkt_conditions(basis, n, n_y, alpha, tol, seed):
+    """At the lasso optimum, -grad_j is in alpha d|w_j| for every weight
+    (Tibshirani, EJS 2013), with grad = A W - b, A = (2/n) Phi^T Phi and
+    b = (2/n) Phi^T Y. A converged fit returns W+ = prox(W - grad(W) / L) with
+    |W+ - W| < tol entrywise, L = lambda_max(A). The prox's own optimality
+    puts -grad(W) - L (W+ - W) in alpha d|W+|, and
+    grad(W+) = grad(W) + A (W+ - W), so each subgradient defect
+    dist(-grad_j(W+), alpha d|w+_j|) is at most ||A - L I||_inf tol. The
+    fit's gradient and the test's each sum at most n + p products, and a sum
+    x^T y rounds by up to (n + p) eps |x|^T |y| (Higham 2002, section 3.1),
+    which exceeds eps ||b|| where b cancels (a constant basis on centred
+    targets). With A_abs = (2/n) |Phi|^T |Phi| and b_abs = (2/n) |Phi|^T |Y|,
+
+        defect <= ||A - L I|| tol + 4 (p + n) eps (||A_abs|| ||W|| + ||b_abs|| + alpha),
+
+    ||.|| the largest absolute row sum (L <= ||A_abs|| also covers the rounding
+    of the step W - grad / L). A fit that stops at the iteration cap (it
+    warns) certifies nothing and is skipped."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, 1))
+    Y = rng.standard_normal((n, n_y))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "lasso did not converge", RuntimeWarning)
+        try:
+            W = linear.lasso_fit(Dataset(x, Y), basis, alpha, tol=tol).weights
+        except RuntimeWarning:
+            assume(False)
+    Phi = linear.feature_matrix(basis, x)
+    p = Phi.shape[1]
+    A = (2.0 / n) * (Phi.T @ Phi)
+    b = (2.0 / n) * (Phi.T @ Y)
+    grad = A @ W - b
+    defect = np.where(W != 0.0, np.abs(grad + alpha * np.sign(W)),
+                      np.maximum(np.abs(grad) - alpha, 0.0)).max()
+    L = np.linalg.eigvalsh(A)[-1]
+
+    def norm(M):
+        return np.linalg.norm(M, np.inf)
+
+    A_abs = (2.0 / n) * (np.abs(Phi).T @ np.abs(Phi))
+    b_abs = (2.0 / n) * (np.abs(Phi).T @ np.abs(Y))
+    eps = np.finfo(float).eps
+    assert defect <= norm(A - L * np.eye(p)) * tol + 4 * (p + n) * eps * (
+        norm(A_abs) * norm(W) + norm(b_abs) + alpha)

@@ -148,6 +148,13 @@ class TestGPR:
         np.testing.assert_array_equal(post.mean, np.zeros((5, 1)))
         np.testing.assert_array_equal(post.covariance, kernels.kernel_matrix(kern, Xq, Xq))
 
+    @pytest.mark.parametrize("trained", [True, False], ids=["posterior", "prior"])
+    def test_zero_query_rows_give_empty_arrays(self, trained):
+        d = Dataset(self._train().inputs, np.ones((12, 2))) if trained else None
+        post = kernels.gpr_posterior(d, np.empty((0, 1)), kernels.GaussianKernel(0.7), 1e-3)
+        assert post.mean.shape == (0, 2 if trained else 1)
+        assert post.covariance.shape == (0, 0) and post.variances.shape == (0,)
+
     def test_noiseless_interpolation_at_training_points(self):
         d = self._train()
         post = kernels.gpr_posterior(d, d.inputs, kernels.GaussianKernel(0.7), 0.0)

@@ -203,7 +203,7 @@ class TestLasso:
         d = Dataset(x, rng.standard_normal((20, 1)))
         basis, alpha = linear.Polynomial(3), 0.01
         Phi = linear.feature_matrix(basis, x)
-        step = 1.0 / linear._largest_eigenvalue((2.0 / 20) * (Phi.T @ Phi))
+        step = 1.0 / np.linalg.eigvalsh((2.0 / 20) * (Phi.T @ Phi))[-1]
         W = np.zeros((4, 1))
         for _ in range(3):
             grad = (2.0 / 20) * (Phi.T @ (Phi @ W - d.targets))

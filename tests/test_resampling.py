@@ -280,6 +280,25 @@ def test_ensemble_band_is_bit_equal_to_the_whole_population(case, seed):
         np.testing.assert_array_equal(got[1], ref[1])
 
 
+@pytest.mark.parametrize("q, n_e", [(1025, 1024), (17, 20_000)],
+                         ids=["129-row-last-block", "8-row-blocks"])
+def test_ensemble_band_equals_the_per_member_oracle_at_large_populations(q, n_e):
+    # query blocks whose n_E products exceed _STACK_BYTES: a last block of
+    # 129 rows x 1024 members, and 8-row blocks x 20,000 members
+    rng = np.random.default_rng(n_e)
+    basis = linear.Polynomial(3)
+    xg = rng.uniform(-1.5, 1.5, (q, 1))
+    W = rng.standard_normal((4, n_e))
+
+    def member(x, w):
+        return linear.LinearModel(basis, w[:, None]).predict(x)[:, 0]
+
+    got = resampling.ensemble_band(linear.feature_matrix(basis, xg), W, 0.04)
+    ref = resampling.ensemble_predict(xg, W, 0.04, member)
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+
+
 def test_ill_conditioned_members_warn_once():
     # x within 1e-6 of 1: the columns of a line basis are nearly collinear
     rng = np.random.default_rng(10)
