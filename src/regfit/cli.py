@@ -28,7 +28,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from . import kernels, linear, losses, network, optim, physics, resampling, symreg
 from .data import Dataset, _write_table, generate_fig2_like, load_csv, load_inputs_csv, save_csv
@@ -469,7 +468,7 @@ def main(argv=None) -> int:
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except (NumericalError, LinAlgError) as exc:
+        except (NumericalError, np.linalg.LinAlgError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
         except OSError as exc:  # reads raise "cannot open" ValidationErrors: this is a write

@@ -21,6 +21,12 @@ kernel on two or more input columns (the squared differences of columns 2..)
 and for a polynomial kernel, never an n1 x n2 x n_x tensor. Roundoff's tiny
 negative posterior eigenvalues are clamped to zero.
 
+Kernels use scipy's in-place Cholesky (``cho_factor`` with
+``overwrite_a``), ``cho_solve`` and ``solve_triangular``, which numpy lacks.
+The functions that factor or solve load ``scipy.linalg`` through
+``_scipy.linalg`` when they run, so importing regfit, or running any command
+but a krr or gpr fit and a gpr predict (with variances), leaves it unloaded.
+
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
 quantities even though the literature tends to reuse one Greek letter for
@@ -33,12 +39,13 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 from .data import Dataset
 from .errors import (
     NumericalError, ValidationError, as_integer, as_number, as_number_array, require_keys,
 )
+from ._scipy import linalg as scipy_linalg
+from .linear import _squared_distances
 
 # jitter added to a kernel diagonal when an unregularized factorization fails
 DIAGONAL_JITTER = 1e-10
@@ -78,20 +85,6 @@ class PolynomialKernel:
 
 
 KernelSpec = GaussianKernel | LinearKernel | PolynomialKernel
-
-
-def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """||a_i - b_j||^2 for the rows of A and B, an n1 x n2 matrix summed one
-    input column at a time, so no n1 x n2 x n_x difference tensor exists; the
-    first column is squared in the result, and only later ones need a buffer."""
-    sq = np.subtract.outer(A[:, 0], B[:, 0]) if A.shape[1] else np.zeros((len(A), len(B)))
-    sq *= sq
-    diff = np.empty_like(sq) if A.shape[1] > 1 else None
-    for k in range(1, A.shape[1]):
-        np.subtract.outer(A[:, k], B[:, k], out=diff)
-        diff *= diff
-        sq += diff
-    return sq
 
 
 def kernel_matrix(spec: KernelSpec, X1, X2) -> np.ndarray:
@@ -165,6 +158,7 @@ def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float):
 def _factor(build, reg: float):
     """Cholesky (lower) of K + reg I, each attempt in place in a fresh
     Fortran-ordered K = build(); one retry with DIAGONAL_JITTER when reg = 0."""
+    cho_factor = scipy_linalg().cho_factor
 
     def shifted(shift):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
@@ -175,7 +169,7 @@ def _factor(build, reg: float):
         return A
 
     for shift in (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,):
-        with suppress(LinAlgError):
+        with suppress(np.linalg.LinAlgError):
             return cho_factor(shifted(shift), lower=True, overwrite_a=True, check_finite=False)
     smallest = float(np.linalg.eigvalsh(shifted(reg))[0])
     raise NumericalError(f"kernel matrix plus {reg} I is not positive-definite "
@@ -186,12 +180,14 @@ def woodbury_discrepancy(Phi, alpha: float) -> float:
     """Max-abs difference between the two matrix-inversion-lemma forms
     (Phi^T Phi + a I_b)^-1 Phi^T and Phi^T (Phi Phi^T + a I_n)^-1,
     each evaluated with its own factorized solve."""
+    sla = scipy_linalg()
+
     if not alpha > 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     n, b = Phi.shape
-    primal = cho_solve(cho_factor(Phi.T @ Phi + alpha * np.eye(b), lower=True), Phi.T)
-    dual = cho_solve(cho_factor(Phi @ Phi.T + alpha * np.eye(n), lower=True), Phi).T
+    primal = sla.cho_solve(sla.cho_factor(Phi.T @ Phi + alpha * np.eye(b), lower=True), Phi.T)
+    dual = sla.cho_solve(sla.cho_factor(Phi @ Phi.T + alpha * np.eye(n), lower=True), Phi).T
     return float(np.max(np.abs(primal - dual)))
 
 
@@ -246,6 +242,8 @@ def gpr_posterior(
     A query row whose kernel values are not finite is refused with a
     NumericalError that names it.
     """
+    sla = scipy_linalg()
+
     if noise_variance < 0:
         raise ValidationError(f"noise variance must be nonnegative, got {noise_variance}")
     Xq = np.atleast_2d(np.asarray(X, dtype=float))
@@ -254,8 +252,8 @@ def gpr_posterior(
         return GPRPosterior(np.zeros((Xq.shape[0], 1)), K_qq, noise_variance)
     K_qt = _query_kernel(kernel, Xq, d.inputs)
     factor = _factor_kernel(kernel, d.inputs, noise_variance)  # finite: _factor checked K
-    mean = K_qt @ cho_solve(factor, d.targets, check_finite=False)
-    v = solve_triangular(factor[0], K_qt.T, lower=True, check_finite=False)
+    mean = K_qt @ sla.cho_solve(factor, d.targets, check_finite=False)
+    v = sla.solve_triangular(factor[0], K_qt.T, lower=True, check_finite=False)
     cov = K_qq - v.T @ v
     return GPRPosterior(mean, _clamp_negative_eigenvalues(cov), noise_variance)
 
@@ -310,6 +308,8 @@ class KernelModel:
         """K(q, t) dual_coef and, given the factor L, sum_i v_iq^2 for the 2-D
         queries Xq, a block at a time; a NumericalError names (from 1) the first
         query row whose kernel values are not finite."""
+        if L is not None:
+            solve_triangular = scipy_linalg().solve_triangular
         t = self.train_inputs
         mean = np.empty((Xq.shape[0], self.dual_coef.shape[1]))
         vv = np.empty(Xq.shape[0])
@@ -364,6 +364,8 @@ def gpr_fit(d: Dataset, kernel: KernelSpec, noise_variance: float) -> KernelMode
 
 
 def _kernel_fit(kind: str, d: Dataset, kernel: KernelSpec, reg: float, name: str):
+    cho_solve = scipy_linalg().cho_solve
+
     if reg < 0:
         raise ValidationError(f"{name} must be nonnegative, got {reg}")
     factor = _factor_kernel(kernel, d.inputs, reg)

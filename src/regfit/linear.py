@@ -7,9 +7,10 @@ radial bases are exp(-c_k^2 * ||x - x_c,k||^2) with per-basis shape
 factors c_k.
 
 Ridge weights come from the normal equations (Phi^T Phi + alpha I) W =
-Phi^T Y solved through a symmetric positive-definite factorization; the
-explicit inverse is never formed and one solve covers all output columns.
-A condition-number warning is emitted above 1e12.
+Phi^T Y, checked positive-definite by a Cholesky factorization and solved
+by LU with partial pivoting, both numpy's LAPACK; the explicit inverse is
+never formed and one solve covers all output columns. A condition-number
+warning is emitted above 1e12.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError, as_integer, as_number_array, require_keys
-from .kernels import _squared_distances
 from .losses import LossSpec, loss_gradient, loss_value
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -72,6 +71,20 @@ class GaussianRBF:
 
 
 BasisSpec = Polynomial | GaussianRBF
+
+
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||a_i - b_j||^2 for the rows of A and B, an n1 x n2 matrix summed one
+    input column at a time, so no n1 x n2 x n_x difference tensor exists; the
+    first column is squared in the result, and only later ones need a buffer."""
+    sq = np.subtract.outer(A[:, 0], B[:, 0]) if A.shape[1] else np.zeros((len(A), len(B)))
+    sq *= sq
+    diff = np.empty_like(sq) if A.shape[1] > 1 else None
+    for k in range(1, A.shape[1]):
+        np.subtract.outer(A[:, k], B[:, k], out=diff)
+        diff *= diff
+        sq += diff
+    return sq
 
 
 def default_rbf_shapes(centers) -> np.ndarray:
@@ -213,13 +226,15 @@ class SingularStackError(NumericalError):
 
 
 def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (Phi^T Phi + alpha I) W = Phi^T Y for W via Cholesky.
+    """Solve (Phi^T Phi + alpha I) W = Phi^T Y for W.
 
     ``Phi`` may also be a stack, E x m x p with targets E x m (x n_y); a 2-D
-    call is a stack of one. Each slice goes to LAPACK's potrf/potrs with
-    ``cho_factor``/``cho_solve``'s arguments, so its weights are bit-identical
-    to solving it alone. A stack warns once, with its worst condition number;
-    overflowing or singular normal equations raise SingularStackError.
+    call is a stack of one. ``np.linalg.cholesky`` checks that every normal
+    matrix is positive-definite and ``np.linalg.solve`` solves it by LU; both
+    call LAPACK once per slice on its own copy, so each slice's weights are
+    bit-identical to solving it alone. A stack warns once, with its worst
+    condition number; overflowing or singular normal equations raise
+    SingularStackError, which names the first failing slice.
     """
     if alpha < 0:
         raise ValidationError(f"ridge alpha must be nonnegative, got {alpha}")
@@ -247,15 +262,18 @@ def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (A,))
-    W = []
-    for index, (a, b) in enumerate(zip(A, B)):
-        factor, info = potrf(a, lower=True, overwrite_a=False, clean=False)
-        if info:
-            raise SingularStackError(f"normal matrix is singular at alpha={alpha} "
-                                     f"(condition estimate {cond[index]:.2e})", index)
-        W.append(potrs(factor, b, lower=True, overwrite_b=False)[0])
-    return np.stack(W) if Phi.ndim == 3 else W[0]
+    try:
+        np.linalg.cholesky(A)
+        W = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        for index, a in enumerate(A):  # the first slice that is not positive-definite
+            try:
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                break
+        raise SingularStackError(f"normal matrix is singular at alpha={alpha} "
+                                 f"(condition estimate {cond[index]:.2e})", index) from None
+    return W if Phi.ndim == 3 else W[0]
 
 
 def ridge_fit(d: Dataset, basis: BasisSpec, alpha: float) -> LinearModel:
@@ -288,7 +306,8 @@ def lasso_fit(
     L the largest eigenvalue of (2/n_p) Phi^T Phi (LAPACK's ``eigvalsh``), and
     the soft-threshold prox. Stops when the largest parameter change drops
     below ``tol`` (>= 0); on hitting ``max_iters`` (>= 1) first, the last
-    iterate is returned and a RuntimeWarning is emitted.
+    iterate is returned and a RuntimeWarning is emitted. Features whose
+    (2/n_p) Phi^T Phi overflows raise a NumericalError.
     """
     if alpha < 0:
         raise ValidationError(f"lasso alpha must be nonnegative, got {alpha}")
@@ -298,7 +317,12 @@ def lasso_fit(
     Phi = feature_matrix(basis, d.inputs)
     Y = d.targets
     n = Phi.shape[0]
-    L = np.linalg.eigvalsh((2.0 / n) * (Phi.T @ Phi))[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        A = (2.0 / n) * (Phi.T @ Phi)
+    if not np.isfinite(A).all():
+        raise NumericalError("lasso curvature (2/n) Phi^T Phi is not finite: the features "
+                             "overflow")
+    L = np.linalg.eigvalsh(A)[-1]
     if L <= 0:
         raise NumericalError("feature matrix has zero curvature; cannot pick a step size")
     step = 1.0 / L

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
+from ._scipy import linalg as scipy_linalg
 from .errors import NumericalError, ValidationError
 
 
@@ -31,14 +31,16 @@ class WeightedMSE:
         S = np.array(self.covariance, dtype=float, copy=True)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValidationError("covariance must be square")
+        if not np.isfinite(S).all():  # LAPACK's Cholesky would pass inf through
+            raise ValidationError("covariance must be finite")
         if not np.allclose(S, S.T, atol=1e-12 * max(1.0, np.abs(S).max())):
             raise ValidationError("covariance must be symmetric")
         S.setflags(write=False)
         object.__setattr__(self, "covariance", S)
         # positive definiteness is verified by factorization, not eigenvalues
         try:
-            object.__setattr__(self, "_chol", cho_factor(S, lower=True))
-        except LinAlgError as exc:
+            object.__setattr__(self, "_chol", scipy_linalg().cho_factor(S, lower=True))
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(f"covariance is not positive-definite: {exc}") from exc
 
 
@@ -112,7 +114,7 @@ def _solve_residual(spec: WeightedMSE, e: np.ndarray) -> np.ndarray:
     n = spec.covariance.shape[0]
     if e.shape[0] != n:
         raise ValidationError(f"covariance is {n}x{n}, residual has {e.shape[0]} rows")
-    return cho_solve(spec._chol, e)
+    return scipy_linalg().cho_solve(spec._chol, e)
 
 
 def huber(e, delta: float) -> float:

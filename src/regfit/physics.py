@@ -17,8 +17,10 @@ machinery (one assembly of the interior and boundary rows):
   closed form; boundary conditions are only met approximately, ever more
   tightly as the weight grows.
 * ``constrained_solve`` enforces the boundary rows exactly through Lagrange
-  multipliers, reducing to a symmetric indefinite KKT linear system; the
-  interior residual stays in the quadratic objective.
+  multipliers. It solves the KKT conditions by the null-space method: the
+  boundary rows fix the weights' component in their row space, and the
+  quadratic objective, interior residual included, is minimized over the
+  rest, so the rows hold to rounding whatever the objective's scale.
 
 ``pinn_train`` applies the penalty strategy to a neural network whose
 input derivatives are taken by central finite differences.
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve
 
 from .data import Dataset
 from .errors import (
@@ -279,8 +280,16 @@ def constrained_solve(
 
     Minimizes (data MSE if data is given) + alpha_reg ||w||^2
     + mean squared interior residual, subject to the boundary rows holding
-    exactly; solved through the symmetric indefinite KKT system
-    [[H, B^T], [B, 0]] [w; lambda] = [f; u_b].
+    exactly: the KKT system [[H, B^T], [B, 0]] [w; lambda] = [f; u_b].
+
+    It is solved by the null-space method (Nocedal & Wright, *Numerical
+    Optimization*, section 16.2). The QR factorization B^T = Q1 R, with Q2
+    completing Q1 to an orthogonal basis, splits w = Q1 y + Q2 z: R^T y = u_b
+    gives B w = u_b, the reduced system (Q2^T H Q2) z = Q2^T (f - H Q1 y)
+    minimizes over the null space of B, and R lambda = Q1^T (f - H w) gives
+    the multipliers. B's rows only meet R and Q, never H, so the boundary
+    defect stays at rounding relative to B and w even when H is many orders
+    larger; an LU solve of the whole KKT matrix loses that.
     """
     _check_scalar_targets(data)
     if not alpha_reg > 0:
@@ -308,15 +317,17 @@ def constrained_solve(
         Phi = feature_matrix(basis, data.inputs)
         H = H + 2.0 * (Phi.T @ Phi) / data.n_points
         f = f + 2.0 * (Phi.T @ data.targets[:, 0]) / data.n_points
-    kkt = np.block([[H, B.T], [B, np.zeros((n_eq, n_eq))]])
-    rhs = np.concatenate([f, u_b])
+    Q, R = np.linalg.qr(B.T, mode="complete")
+    Q1, Q2, R = Q[:, :n_eq], Q[:, n_eq:], R[:n_eq]
+    reduced = Q2.T @ (H @ Q2)
     try:  # nonsingular in exact arithmetic: B has full row rank and H >= 2 alpha_reg I
-        sol = solve(kkt, rhs, assume_a="sym")
-    except LinAlgError as exc:
-        raise NumericalError(
-            f"KKT system is singular (rank {np.linalg.matrix_rank(kkt)} of {kkt.shape[0]})"
-        ) from exc
-    w, lam = sol[:n_b], sol[n_b:]
+        y = np.linalg.solve(R.T, u_b)
+        z = np.linalg.solve(reduced, Q2.T @ (f - H @ (Q1 @ y)))
+        w = Q1 @ y + Q2 @ z
+        lam = np.linalg.solve(R, Q1.T @ (f - H @ w))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"KKT system is singular (reduced Hessian rank "
+                             f"{np.linalg.matrix_rank(reduced)} of {n_b - n_eq})") from exc
     bc_defect = float(np.linalg.norm(B @ w - u_b))
     bc_scale = max(1.0, float(np.linalg.norm(u_b)))
     if bc_defect > BC_RESIDUAL_RTOL * bc_scale:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regfit import kernels, linear, resampling
+from regfit import kernels, linear, physics, resampling
 from regfit.data import Dataset
 
 
@@ -62,7 +62,8 @@ def test_linear_kernel_ridge_equals_primal_ridge(data, n, p, alpha):
     x Phi^T a, a = (Phi Phi^T + alpha I)^-1 Y, and primal ridge predicts x w,
     w = A^-1 Phi^T Y with A = Phi^T Phi + alpha I; the two agree because
     Phi^T (Phi Phi^T + alpha I)^-1 = A^-1 Phi^T (Woodbury). Each route forms a
-    Gram matrix (sums of at most n + p products) and solves with Cholesky, a
+    Gram matrix (sums of at most n + p products) and solves it backward-stably
+    (the dual route by Cholesky, the primal by LU with partial pivoting), a
     backward error of (n + p) eps relative to ||A|| = s^2 + alpha, s = ||Phi||_2.
     A solve with A turns it into (n + p) eps cond(A) (||w|| + s ||Y|| / ||A||);
     the dual route's error in a reaches the prediction only through
@@ -140,3 +141,86 @@ def test_converged_lasso_meets_the_kkt_conditions(basis, n, n_y, alpha, tol, see
     eps = np.finfo(float).eps
     assert defect <= norm(A - L * np.eye(p)) * tol + 4 * (p + n) * eps * (
         norm(A_abs) * norm(W) + norm(b_abs) + alpha)
+
+
+_ENDS = [(0.0, "dirichlet"), (0.0, "neumann"), (1.0, "dirichlet"), (1.0, "neumann")]
+
+
+@st.composite
+def _kkt_cases(draw):
+    """a u'' + b u' + c u = g on [0, 1] with 1-4 distinct Dirichlet or Neumann
+    conditions at the ends, a Gaussian-RBF basis of 5-120 centres (default
+    shapes, or one explicit shape factor in 0.5-30), alpha_reg in 1e-10-1e-2,
+    and 5-30 data rows or none."""
+    centers = np.linspace(0.0, 1.0, draw(st.integers(5, 120)))[:, None]
+    shape = draw(st.none() | st.floats(0.5, 30.0))
+    basis = linear.GaussianRBF(
+        centers, linear.default_rbf_shapes(centers) if shape is None else shape)
+    ends = draw(st.lists(st.sampled_from(_ENDS), min_size=1, max_size=4, unique=True))
+    values = st.floats(-10.0, 10.0)
+    problem = physics.problem_from_dict({
+        "domain": [0.0, 1.0], "a": draw(st.floats(0.5, 2.0)), "b": draw(values),
+        "c": draw(values),
+        "source": {"kind": "sin", "amplitude": draw(values),
+                   "frequency": draw(st.floats(0.5, 10.0))},
+        "boundary": [{"location": x, "kind": kind, "value": draw(values)} for x, kind in ends],
+    })
+    data = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.uniform(0.0, 1.0, (draw(st.integers(5, 30)), 1))
+        data = Dataset(x, np.cos(3.0 * x))
+    return problem, basis, 10.0 ** draw(st.floats(-10.0, -2.0)), data
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kkt_cases())
+def test_constrained_solve_meets_the_kkt_conditions(case):
+    """constrained_solve minimizes w^T H w / 2 - f^T w subject to B w = u_b,
+    with H = 2 alpha_reg I + sum over row blocks M of (2/n) M^T M and
+    f = sum of (2/n) M^T t (interior operator rows with the source, and data
+    rows with their targets when given). Its answer must meet both KKT
+    conditions, B w = u_b and H w + B^T lambda = f. The null-space method is
+    backward stable (Cox & Higham, BIT 1999): the QR of B^T, the triangular
+    solves with R and the LU solve of the reduced Hessian each return the
+    exact answer of a problem perturbed by a few eps of its own operands. So
+    each condition holds to a rounding error of the terms it sums, and no
+    condition number enters: cond(KKT) passes 1e20 on these draws and
+    bounds the error in w, which is not checked, but not the residuals. B's
+    rows meet only R and Q, never H, so the boundary defect scales with B and
+    w, not with H, up to 1e7 times larger than B here. With
+    k = 4 (n_b + m + n_rows) eps (n_b basis functions, m conditions, n_rows
+    interior and data rows; a sum of n products rounds by up to
+    n eps |x|^T |y|, Higham 2002, section 3.1), H_abs and f_abs the sums
+    above over |M| and |t|, and ||.|| the largest absolute row sum:
+
+        ||B w - u_b|| <= k (||B|| ||w|| + ||u_b||),
+        ||H w + B^T lambda - f|| <= k (||H_abs|| ||w|| + ||B^T|| ||lambda|| + ||f_abs||).
+
+    A run of 1500 draws reached 0.013 of the first bound and 0.008 of the
+    second. A symmetric-indefinite (LDL^T) solve of the whole KKT matrix
+    refused 6 of 1500 such draws, its boundary defect above BC_RESIDUAL_RTOL."""
+    problem, basis, alpha_reg, data = case
+    B, u_b = physics.boundary_rows(problem, basis)
+    assume(np.linalg.matrix_rank(B) == B.shape[0])  # the refusals are test_physics's
+    solution = physics.constrained_solve(problem, basis, alpha_reg, data)
+    w, lam = solution.weights, solution.multipliers
+    x_c = problem.interior_points(basis.n_basis)
+    blocks = [(*physics.operator_matrix(problem, basis, x_c), x_c.size)]
+    if data is not None:
+        blocks.append((linear.feature_matrix(basis, data.inputs), data.targets[:, 0],
+                       data.n_points))
+    n_b, m = basis.n_basis, B.shape[0]
+    H = 2.0 * alpha_reg * np.eye(n_b) + sum(2.0 * (M.T @ M) / n for M, _, n in blocks)
+    f = sum(2.0 * (M.T @ t) / n for M, t, n in blocks)
+    H_abs = 2.0 * alpha_reg * np.eye(n_b) + sum(
+        2.0 * (np.abs(M).T @ np.abs(M)) / n for M, _, n in blocks)
+    f_abs = sum(2.0 * (np.abs(M).T @ np.abs(t)) / n for M, t, n in blocks)
+
+    def norm(v):
+        return np.linalg.norm(v, np.inf)
+
+    k = 4 * (n_b + m + sum(n for _, _, n in blocks)) * np.finfo(float).eps
+    assert norm(B @ w - u_b) <= k * (norm(B) * norm(w) + norm(u_b))
+    assert norm(H @ w + B.T @ lam - f) <= k * (
+        norm(H_abs) * norm(w) + norm(B.T) * norm(lam) + norm(f_abs))

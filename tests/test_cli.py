@@ -345,12 +345,74 @@ class TestBadFilesAndArguments:
                     "--mode", "replacement", "--output", tmp_path / "r"]) == 0
 
 
-def _cli_process(args):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def _fresh_python(args):
+    """Run Python with this regfit in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(regfit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "regfit.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _cli_process(args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return _fresh_python(["-m", "regfit.cli", *args])
+
+
+def test_only_kernel_commands_load_scipy_linalg(poisson_json, tmp_path):
+    # Importing scipy.linalg costs a process about 0.2 s and 28 MiB; only the
+    # kernel models' factor and triangular solves need it.
+    script = """
+import sys
+from regfit import cli
+out, problem = sys.argv[1], sys.argv[2]
+data = out + "/data/data.csv"
+commands = [
+    ["gen-data", "--n-points", "40", "--output", out + "/data"],
+    ["fit", "--model", "ridge", "--input", data, "--output", out + "/ridge"],
+    ["fit", "--model", "lasso", "--input", data, "--output", out + "/lasso"],
+    ["fit", "--model", "mlp", "--epochs", "2", "--input", data, "--output", out + "/mlp"],
+    ["cv", "--folds", "4", "--input", data, "--output", out + "/cv"],
+    ["bootstrap", "--members", "5", "--input", data, "--output", out + "/bootstrap"],
+    ["predict", "--model", out + "/bootstrap/model.json", "--input", data,
+     "--output", out + "/ensemble"],
+    ["pde-solve", "--problem", problem, "--output", out + "/pde-kkt"],
+    ["pde-solve", "--problem", problem, "--mode", "penalty", "--output", out + "/pde-penalty"],
+    ["symreg", "--population", "10", "--generations", "2", "--input", data,
+     "--output", out + "/symreg"],
+]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+    assert "scipy.linalg" not in sys.modules, argv
+assert cli.main(["fit", "--model", "gpr", "--input", data, "--output", out + "/gpr"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+    proc = _fresh_python(["-c", script, tmp_path, poisson_json])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_linalg_is_imported_by_a_helper_thread_whose_errors_reach_the_caller():
+    # The helper thread keeps the import's long-lived blocks out of the main
+    # heap (see regfit._scipy); a failed import is raised in the caller's
+    # thread, and the helper prints nothing.
+    script = """
+import sys, threading
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.linalg":
+            print("import in", threading.current_thread().name)
+            raise ImportError("scipy.linalg blocked")
+sys.meta_path.insert(0, Block())
+from regfit import _scipy
+try:
+    _scipy.linalg()
+except ImportError as exc:
+    print("caught", exc)
+"""
+    proc = _fresh_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["import in regfit-scipy-import", "import in MainThread",
+                                        "caught scipy.linalg blocked"]
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("args, needle", [
@@ -616,9 +678,11 @@ def test_non_finite_kernel_matrix_at_fit_exit_2(tmp_path):
     (["fit", "--model", "ridge"], 1, "normal equations are not finite"),
     (["bootstrap", "--members", 5], 1, "bootstrap member 0: normal equations are not finite"),
     (["cv", "--folds", 3], 1, "cv fold 0: normal equations are not finite"),
-], ids=["fit-features", "bootstrap-features", "cv-features", "fit", "bootstrap", "cv"])
+    (["fit", "--model", "lasso"], 1, "lasso curvature (2/n) Phi^T Phi is not finite"),
+], ids=["fit-features", "bootstrap-features", "cv-features", "fit", "bootstrap", "cv", "lasso"])
 def test_overflowing_ridge_inputs_exit_2(tmp_path, capfd, args, degree, message):
     # x = 1e200 overflows x^3, and x^2 in the normal matrix of a line fit
+    # (ridge's Phi^T Phi + alpha I, lasso's (2/n) Phi^T Phi)
     rows = tmp_path / "rows.csv"
     rows.write_text("x0,y0\n" + "".join(f"{x},{i}\n" for i, x in enumerate([1.0, 1e200] * 5)))
     out = tmp_path / "o"

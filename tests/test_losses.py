@@ -54,6 +54,24 @@ class TestWeightedMSE:
         with pytest.raises(NumericalError):
             losses.weighted_mse(np.zeros(2), np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_a_prebuilt_spec_reuses_its_factor(self, monkeypatch):
+        import scipy.linalg
+
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((5, 5))
+        spec = losses.WeightedMSE(a @ a.T + 5.0 * np.eye(5))
+        y, yh = rng.standard_normal((5, 1)), rng.standard_normal((5, 1))
+        expected = losses.weighted_mse(y, yh, spec)
+
+        def refactor(*_args, **_kwargs):
+            raise AssertionError("covariance factored again")
+
+        for name in ("cho_factor", "lu_factor", "solve"):
+            monkeypatch.setattr(scipy.linalg, name, refactor)
+        monkeypatch.setattr(np.linalg, "solve", refactor)
+        assert losses.weighted_mse(y, yh, spec) == expected
+        assert losses.loss_gradient(spec, y, yh)[0].shape == (5, 1)
+
     def test_gradient_refuses_a_residual_of_the_wrong_size_as_the_value_does(self):
         spec = losses.WeightedMSE(np.eye(3))
         for evaluate in (losses.loss_value, losses.loss_gradient):

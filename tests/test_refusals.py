@@ -84,6 +84,8 @@ REFUSALS = [
     _row("weighted-mse-asymmetric",
          lambda: losses.WeightedMSE(np.array([[1.0, 0.5], [0.0, 1.0]])), V,
          "covariance must be symmetric"),
+    _row("weighted-mse-infinite", lambda: losses.WeightedMSE(np.diag([np.inf, 1.0])), V,
+         "covariance must be finite"),
     _row("huber-delta-0", lambda: losses.Huber(0), V, "Huber delta must be positive"),
     _row("epsilon-negative", lambda: losses.EpsilonInsensitive(-1), V,
          "epsilon must be nonnegative"),
