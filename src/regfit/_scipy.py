@@ -1,9 +1,10 @@
 """scipy.linalg, loaded on first use, in a helper thread.
 
-Only the kernel models and ``losses.WeightedMSE`` need scipy (an in-place
-Cholesky and triangular solves, which numpy lacks), so regfit does not import
-it up front: a process that never factors a kernel matrix saves about 0.2 s
-and 28 MiB.
+Only the kernel models (LAPACK's packed Cholesky ``dpftrf`` and its solves,
+from ``scipy.linalg.lapack``) and ``losses.WeightedMSE`` (``cho_factor`` and
+``cho_solve``) need scipy, which numpy lacks, so regfit does not import it up
+front: a process that never factors a kernel matrix saves about 0.2 s and
+28 MiB.
 
 The import leaves about 7 MB of long-lived blocks of 0.5 KiB to 1 MiB behind,
 which glibc's malloc takes from the importing thread's arena. In a process

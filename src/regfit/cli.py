@@ -7,7 +7,8 @@ tables are CSV; every JSON report is one envelope (``schema_version`` 1,
 ``KERNELS`` and ``OPTIMIZERS`` map each name --kernel and --optimizer
 accept to what it builds. Exit codes: 0 success, 1 validation error (a NaN
 or infinite float option among them), 2 numerical failure (a diverged
-``fit --model mlp`` among them: no model is written); argparse's own usage
+``fit --model mlp``, or a fit whose loss on its training data is not finite,
+among them: no model is written); argparse's own usage
 errors exit 2. A refused command creates no output directory; an --output
 that cannot be created or written exits 1 (``error: cannot write <path>``).
 A library warning is printed as one ``warning: <message>`` line and does not
@@ -170,8 +171,12 @@ def cmd_fit(args) -> int:
         final_loss = history[-1]
     else:  # a kernel model has no weight vector for a loss penalty to act on
         params = None if args.model in ("krr", "gpr") else model.get_params()
-        final_loss = losses.loss_value(loss, fit_data.targets, model.predict(fit_data.inputs),
-                                       params)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            final_loss = losses.loss_value(loss, fit_data.targets,
+                                           model.predict(fit_data.inputs), params)
+        if not np.isfinite(final_loss):
+            raise NumericalError(f"the {args.model} fit's loss on its training data is not "
+                                 "finite: the targets or predictions overflow; no model written")
     doc = model.to_dict()
     if standardize_doc:
         doc["standardize"] = standardize_doc

@@ -12,20 +12,24 @@ posterior conditions a zero-mean joint Gaussian on the training targets:
 
 where q are query inputs and t training inputs (Rasmussen & Williams 2006,
 *GPML*, Alg. 2.1). Variances alone need only the diagonal of K(q, q), which
-``kernel_diag`` gives without forming the matrix. A fit or a model prediction
-holds one n x n factor plus one query block for any q: K(t, t) is factored in
-the buffer it is built in, queries go one block of at most ``_BLOCK_BYTES`` of
-K(block, t) at a time, and finiteness is read from min and max (no mask).
-Building a kernel matrix adds one more matrix of its size for a Gaussian
-kernel on two or more input columns (the squared differences of columns 2..)
-and for a polynomial kernel, never an n1 x n2 x n_x tensor. Roundoff's tiny
-negative posterior eigenvalues are clamped to zero.
+``kernel_diag`` gives without forming the matrix. K(t, t) + reg I is kept as
+its lower triangle in LAPACK's rectangular full packed format, n (n + 1) / 2
+numbers (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010),
+built in column strips and factored in place. A fit or a model prediction
+holds that packed factor plus one query block or build strip for any q:
+queries go one block of at most ``_BLOCK_BYTES`` of K(block, t) at a time,
+a strip is half of that (a Gaussian kernel on two or more input columns and
+a polynomial kernel build one more array of its size), and finiteness is
+read from min and max (no mask). No n x n array exists unless the
+factorization fails, whose message unpacks the matrix for its smallest
+eigenvalue. Roundoff's tiny negative posterior eigenvalues are clamped to
+zero.
 
-Kernels use scipy's in-place Cholesky (``cho_factor`` with
-``overwrite_a``), ``cho_solve`` and ``solve_triangular``, which numpy lacks.
-The functions that factor or solve load ``scipy.linalg`` through
-``_scipy.linalg`` when they run, so importing regfit, or running any command
-but a krr or gpr fit and a gpr predict (with variances), leaves it unloaded.
+Kernels use LAPACK's packed Cholesky ``dpftrf`` and its solves ``dpftrs``
+and ``dtfsm`` from ``scipy.linalg.lapack``, which numpy lacks. The functions
+that factor or solve load ``scipy.linalg`` through ``_scipy.linalg`` when
+they run, so importing regfit, or running any command but a krr or gpr fit
+and a gpr predict (with variances), leaves it unloaded.
 
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
@@ -35,7 +39,6 @@ both.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +54,12 @@ from .linear import _squared_distances
 DIAGONAL_JITTER = 1e-10
 
 # K(block, t) bytes per query block: _BLOCK_BYTES // (8 n) rows, rounded down
-# to a multiple of 8 (at least 1); a prediction holds one block and the n x n
-# factor. n = 1500, q = 3000, 2 cores: a variance prediction took ~300 ms in
-# 2 MiB blocks, 340 in 1 MiB, 490 in 4 MiB. The size is part of the bytes:
-# 2 MiB kept the one-block bits there, 1 and 4 MiB did not.
+# to a multiple of 8 (at least 1); a prediction holds one block and the packed
+# factor, and a fit builds K(t, t) in strips of half a block. n = 1500,
+# q = 3000, 2 cores: a variance prediction took 180-190 ms in 2 MiB blocks,
+# 190-230 in 1 MiB, 390-450 in 4 MiB. The size is part of the variance bytes:
+# at 2 BLAS threads no size from 0.5 to 8 MiB kept the one-block bits under
+# dtfsm (the means kept them at every size).
 _BLOCK_BYTES = 2 << 20
 
 
@@ -149,29 +154,69 @@ def kernel_from_dict(doc: dict) -> KernelSpec:
     raise ValidationError(f"unknown kernel type {kind!r}")
 
 
-def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float):
-    """Cholesky of K(X, X) + reg I in kernel_matrix's own C-ordered buffer: K
-    is bitwise symmetric, so K.T is K in the Fortran order LAPACK wants."""
-    return _factor(lambda: kernel_matrix(kernel, X, X).T, reg)
+def _block_rows(n: int) -> int:
+    """Rows of an n-column block of at most _BLOCK_BYTES: a multiple of 8, at least 1."""
+    return max(1, _BLOCK_BYTES // (8 * n) // 8 * 8)
 
 
-def _factor(build, reg: float):
-    """Cholesky (lower) of K + reg I, each attempt in place in a fresh
-    Fortran-ordered K = build(); one retry with DIAGONAL_JITTER when reg = 0."""
-    cho_factor = scipy_linalg().cho_factor
+def _packed_kernel(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """The lower triangle of K(X, X) in LAPACK's rectangular full packed format
+    (TRANSR 'N', UPLO 'L'), n (n + 1) / 2 entries: with m = ceil(n / 2), an
+    (n + 1 - n % 2) x m Fortran-ordered array whose rows from 1 - n % 2 hold
+    the lower trapezoid K(X, X[:m]), and whose upper triangle from column n % 2
+    holds the triangle K(X[m:], X[m:]) transposed. Both pieces are built in
+    column strips of half _BLOCK_BYTES, since kernel_matrix may hold one more
+    array of a strip's size; no n x n array exists."""
+    n = len(X)
+    m = (n + 1) // 2
+    packed = np.empty((n + 1 - n % 2) * m)
+    R = packed.reshape((-1, m), order="F")
+    step = max(1, _block_rows(n) // 2)
+    for j in range(0, m, step):  # a strip's upper corner lands in T's triangle, written next
+        R[1 - n % 2 + j :, j : j + step] = kernel_matrix(kernel, X[j : min(j + step, m)], X[j:]).T
+    T = R[:, n % 2 :]  # its upper triangle holds K(X[m:], X[m:])
+    for j in range(0, n - m, step):
+        S = kernel_matrix(kernel, X[m + j : m + j + step], X[m : m + j + step]).T
+        w = S.shape[1]
+        T[:j, j : j + w] = S[:j]
+        np.copyto(T[j : j + w, j : j + w], S[j:], where=np.tri(w, dtype=bool).T)
+    return packed
+
+
+def _packed_diagonal(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of K_jj in _packed_kernel's layout, j < m and j >= m: column j,
+    row j + 1 - n % 2, and column j - m + n % 2, row j - m; in the flat array
+    both are n + 2 - n % 2 entries apart."""
+    step = n + 2 - n % 2
+    return packed[1 - n % 2 :: step], packed[n % 2 * n :: step]
+
+
+def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float) -> np.ndarray:
+    """Packed Cholesky factor of K(X, X) + reg I, built and factored in one buffer."""
+    return _factor(lambda: _packed_kernel(kernel, X), len(X), reg)
+
+
+def _factor(build, n: int, reg: float) -> np.ndarray:
+    """Cholesky (lower, rectangular full packed) of the n x n K + reg I, each
+    attempt in place in a fresh packed K = build(); one retry with
+    DIAGONAL_JITTER when reg = 0."""
+    lapack = scipy_linalg().lapack
 
     def shifted(shift):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             A = build()
-            A[np.diag_indices_from(A)] += shift
+            for diagonal in _packed_diagonal(A, n):
+                diagonal += shift
         if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN propagates
             raise NumericalError(f"kernel matrix plus {shift} I has non-finite entries")
         return A
 
     for shift in (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,):
-        with suppress(np.linalg.LinAlgError):
-            return cho_factor(shifted(shift), lower=True, overwrite_a=True, check_finite=False)
-    smallest = float(np.linalg.eigvalsh(shifted(reg))[0])
+        L, info = lapack.dpftrf(n, shifted(shift), uplo="L", overwrite_a=True)
+        if info == 0:
+            return L
+    K = lapack.dtfttr(n, shifted(reg), uplo="L")[0]
+    smallest = float(np.linalg.eigvalsh(K)[0])
     raise NumericalError(f"kernel matrix plus {reg} I is not positive-definite "
                          f"(smallest pivot/eigenvalue {smallest:.3e})")
 
@@ -242,7 +287,7 @@ def gpr_posterior(
     A query row whose kernel values are not finite is refused with a
     NumericalError that names it.
     """
-    sla = scipy_linalg()
+    lapack = scipy_linalg().lapack
 
     if noise_variance < 0:
         raise ValidationError(f"noise variance must be nonnegative, got {noise_variance}")
@@ -251,9 +296,9 @@ def gpr_posterior(
     if d is None:
         return GPRPosterior(np.zeros((Xq.shape[0], 1)), K_qq, noise_variance)
     K_qt = _query_kernel(kernel, Xq, d.inputs)
-    factor = _factor_kernel(kernel, d.inputs, noise_variance)  # finite: _factor checked K
-    mean = K_qt @ sla.cho_solve(factor, d.targets, check_finite=False)
-    v = sla.solve_triangular(factor[0], K_qt.T, lower=True, check_finite=False)
+    L = _factor_kernel(kernel, d.inputs, noise_variance)
+    mean = K_qt @ lapack.dpftrs(d.n_points, L, d.targets, uplo="L")[0]
+    v = lapack.dtfsm(1.0, L, K_qt.T, uplo="L")
     cov = K_qq - v.T @ v
     return GPRPosterior(mean, _clamp_negative_eigenvalues(cov), noise_variance)
 
@@ -297,10 +342,10 @@ class KernelModel:
         """Posterior mean K(q, t) dual_coef and latent variance
         diag K(q, q) - sum_i v_iq^2 with v = L^-1 K(t, q), floored at 0; the
         training block is factored again, and queries are answered in blocks
-        of _BLOCK_BYTES of K(block, t), so memory is the n x n factor plus one
+        of _BLOCK_BYTES of K(block, t), so memory is the packed factor plus one
         block for any q."""
         Xq = np.atleast_2d(np.asarray(X, dtype=float))
-        L, _ = _factor_kernel(self.kernel, self.train_inputs, self.regularizer)
+        L = _factor_kernel(self.kernel, self.train_inputs, self.regularizer)
         mean, vv = self._answer(Xq, L)
         return mean, np.maximum(kernel_diag(self.kernel, Xq) - vv, 0.0)
 
@@ -309,17 +354,16 @@ class KernelModel:
         queries Xq, a block at a time; a NumericalError names (from 1) the first
         query row whose kernel values are not finite."""
         if L is not None:
-            solve_triangular = scipy_linalg().solve_triangular
+            dtfsm = scipy_linalg().lapack.dtfsm
         t = self.train_inputs
         mean = np.empty((Xq.shape[0], self.dual_coef.shape[1]))
         vv = np.empty(Xq.shape[0])
-        step = max(1, _BLOCK_BYTES // (8 * t.shape[0]) // 8 * 8)
+        step = _block_rows(t.shape[0])
         for first in range(0, Xq.shape[0], step):
             K_bt = _query_kernel(self.kernel, Xq[first : first + step], t, first)
             np.matmul(K_bt, self.dual_coef, out=mean[first : first + step])
-            if L is not None:  # finite: _factor checked K
-                v = solve_triangular(L, K_bt.T, lower=True, overwrite_b=True,
-                                     check_finite=False)
+            if L is not None:
+                v = dtfsm(1.0, L, K_bt.T, uplo="L", overwrite_b=True)
                 vv[first : first + step] = np.einsum("ij,ij->j", v, v)
             K_bt = v = None  # v is K_bt's buffer: free it before the next block
         return mean, vv
@@ -364,12 +408,12 @@ def gpr_fit(d: Dataset, kernel: KernelSpec, noise_variance: float) -> KernelMode
 
 
 def _kernel_fit(kind: str, d: Dataset, kernel: KernelSpec, reg: float, name: str):
-    cho_solve = scipy_linalg().cho_solve
+    dpftrs = scipy_linalg().lapack.dpftrs
 
     if reg < 0:
         raise ValidationError(f"{name} must be nonnegative, got {reg}")
-    factor = _factor_kernel(kernel, d.inputs, reg)
-    dual_coef = cho_solve(factor, d.targets, check_finite=False)  # finite: _factor checked K
+    L = _factor_kernel(kernel, d.inputs, reg)
+    dual_coef = dpftrs(d.n_points, L, d.targets, uplo="L")[0]
     return KernelModel(kind, kernel, d.inputs, dual_coef, reg)
 
 

@@ -266,9 +266,12 @@ def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
         np.linalg.cholesky(A)
         W = np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
-        for index, a in enumerate(A):  # the first slice that is not positive-definite
+        # the first slice that fails alone, by both calls: a rank-deficient slice
+        # can pass Cholesky on a roundoff pivot and meet an exact zero pivot in LU
+        for index, (a, b) in enumerate(zip(A, B)):
             try:
                 np.linalg.cholesky(a)
+                np.linalg.solve(a, b)
             except np.linalg.LinAlgError:
                 break
         raise SingularStackError(f"normal matrix is singular at alpha={alpha} "

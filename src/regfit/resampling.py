@@ -194,7 +194,9 @@ def _blocks(draws, step: int):
 def _fit_block(Phi, Y, alpha: float, block, first: int, what: str):
     """Weights and in/out-of-sample MSE of the members first, first + 1, ...
     of ``block``. Each member's operands keep the shapes a fit on its own
-    rows would see, so its results are bit-identical to that fit's."""
+    rows would see, so its results are bit-identical to that fit's. A
+    singular fit or an error that is not finite raises a NumericalError that
+    names the member."""
     train = np.stack([tr for tr, _ in block])
     G, Y_train = Phi[train], Y[train]
     try:
@@ -207,13 +209,20 @@ def _fit_block(Phi, Y, alpha: float, block, first: int, what: str):
         same = np.flatnonzero(sizes == size)
         test = np.stack([block[k][1] for k in same])
         j_o[same] = _stacked_mse(Phi[test], W[same], Y[test])
-    return W, _stacked_mse(G, W, Y_train), j_o
+    j_i = _stacked_mse(G, W, Y_train)
+    bad = np.flatnonzero(~np.isfinite(j_i + j_o))  # both are >= 0 or NaN
+    if bad.size:
+        raise NumericalError(f"{what} {first + bad[0]}: its mean squared error is not finite: "
+                             "the targets or predictions overflow")
+    return W, j_i, j_o
 
 
 def _stacked_mse(G, W, Y):
-    """losses.mse of each member's predictions G[e] @ W[e] against Y[e]."""
-    e = G @ W - Y
-    return np.sum(e * e, axis=(1, 2)) / G.shape[1]
+    """losses.mse of each member's predictions G[e] @ W[e] against Y[e], inf
+    or NaN where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = G @ W - Y
+        return np.sum(e * e, axis=(1, 2)) / G.shape[1]
 
 
 def bagged_band(y_pop, j_i_mean: float):

@@ -671,20 +671,33 @@ def test_non_finite_kernel_matrix_at_fit_exit_2(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, degree, message", [
-    (["fit", "--model", "ridge"], 3, "polynomial features of input row 2 are not finite"),
-    (["bootstrap", "--members", 5], 3, "polynomial features of input row 2 are not finite"),
-    (["cv", "--folds", 3], 3, "polynomial features of input row 2 are not finite"),
-    (["fit", "--model", "ridge"], 1, "normal equations are not finite"),
-    (["bootstrap", "--members", 5], 1, "bootstrap member 0: normal equations are not finite"),
-    (["cv", "--folds", 3], 1, "cv fold 0: normal equations are not finite"),
-    (["fit", "--model", "lasso"], 1, "lasso curvature (2/n) Phi^T Phi is not finite"),
-], ids=["fit-features", "bootstrap-features", "cv-features", "fit", "bootstrap", "cv", "lasso"])
-def test_overflowing_ridge_inputs_exit_2(tmp_path, capfd, args, degree, message):
+_HUGE_X = [(x, i) for i, x in enumerate([1.0, 1e200] * 5)]
+_HUGE_Y = [(i / 9, y) for i, y in enumerate([1e308, -1e308] * 5)]
+
+
+@pytest.mark.parametrize("args, degree, message, table", [
+    (["fit", "--model", "ridge"], 3, "polynomial features of input row 2 are not finite", _HUGE_X),
+    (["bootstrap", "--members", 5], 3, "polynomial features of input row 2 are not finite",
+     _HUGE_X),
+    (["cv", "--folds", 3], 3, "polynomial features of input row 2 are not finite", _HUGE_X),
+    (["fit", "--model", "ridge"], 1, "normal equations are not finite", _HUGE_X),
+    (["bootstrap", "--members", 5], 1, "bootstrap member 0: normal equations are not finite",
+     _HUGE_X),
+    (["cv", "--folds", 3], 1, "cv fold 0: normal equations are not finite", _HUGE_X),
+    (["fit", "--model", "lasso"], 1, "lasso curvature (2/n) Phi^T Phi is not finite", _HUGE_X),
+    (["fit", "--model", "ridge"], 1, "ridge fit's loss on its training data is not finite",
+     _HUGE_Y),
+    (["fit", "--model", "lasso"], 1, "lasso fit's loss on its training data is not finite",
+     _HUGE_Y),
+    (["cv", "--folds", 3], 1, "cv fold 0: its mean squared error is not finite", _HUGE_Y),
+], ids=["fit-features", "bootstrap-features", "cv-features", "fit", "bootstrap", "cv", "lasso",
+        "fit-loss", "lasso-loss", "cv-loss"])
+def test_overflowing_ridge_inputs_exit_2(tmp_path, capfd, args, degree, message, table):
     # x = 1e200 overflows x^3, and x^2 in the normal matrix of a line fit
-    # (ridge's Phi^T Phi + alpha I, lasso's (2/n) Phi^T Phi)
+    # (ridge's Phi^T Phi + alpha I, lasso's (2/n) Phi^T Phi); y = +-1e308 leaves
+    # them finite, and the squared error of a line through them overflows
     rows = tmp_path / "rows.csv"
-    rows.write_text("x0,y0\n" + "".join(f"{x},{i}\n" for i, x in enumerate([1.0, 1e200] * 5)))
+    rows.write_text("x0,y0\n" + "".join(f"{x},{y}\n" for x, y in table))
     out = tmp_path / "o"
     capfd.readouterr()
     assert run(args + ["--degree", degree, "--input", rows, "--output", out]) == 2

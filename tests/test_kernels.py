@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, lapack
 
 from regfit import kernels, linear
 from regfit.data import Dataset
@@ -45,6 +45,17 @@ def test_kernel_symmetry_and_psd():
 
 KERNELS = (kernels.GaussianKernel(0.5), kernels.LinearKernel(),
            kernels.PolynomialKernel(3, 1.0))
+
+
+def _packed(K):
+    """The lower triangle of K in kernels' packed layout (LAPACK's rectangular
+    full packed format, TRANSR 'N', UPLO 'L'), packed by LAPACK's own dtrttf."""
+    return lapack.dtrttf(np.asarray(K, dtype=float), uplo="L")[0]
+
+
+def _unpacked(P, n):
+    """The lower triangle of the n x n matrix packed in P, zeros above it."""
+    return np.tril(lapack.dtfttr(n, P, uplo="L")[0])
 
 
 @pytest.mark.parametrize("spec", KERNELS)
@@ -244,12 +255,11 @@ class TestGPR:
     def test_factorization_failure_reports_pivot(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NumericalError, match="pivot"):
-            kernels._factor(lambda: np.array(indefinite, dtype=float, order="F"), 0.0)
+            kernels._factor(lambda: _packed(indefinite), 2, 0.0)
 
     def test_jitter_retry_factors_k_plus_jitter(self):
         K = np.ones((3, 3))  # PSD, rank 1: the plain factorization fails
-        L, lower = kernels._factor(lambda: np.array(K, dtype=float, order="F"), 0.0)
-        L = np.tril(L)
+        L = _unpacked(kernels._factor(lambda: _packed(K), 3, 0.0), 3)
         np.testing.assert_allclose(L @ L.T, K + kernels.DIAGONAL_JITTER * np.eye(3),
                                    rtol=0, atol=1e-15)
         np.testing.assert_array_equal(K, np.ones((3, 3)))
@@ -257,23 +267,24 @@ class TestGPR:
     def test_non_pd_error_names_smallest_eigenvalue(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalError, match=r"plus 0\.5 I .*eigenvalue -5\.000e-01"):
-            kernels._factor(lambda: np.array(indefinite, dtype=float, order="F"), 0.5)
+            kernels._factor(lambda: _packed(indefinite), 2, 0.5)
         np.testing.assert_array_equal(indefinite, [[1.0, 2.0], [2.0, 1.0]])
 
-    def test_factor_is_cho_factor_of_the_sum_in_one_copy(self):
+    def test_factor_is_the_packed_cholesky_of_the_sum_in_one_copy(self):
         X = np.random.default_rng(16).uniform(-2, 2, (400, 1))
         K = kernels.kernel_matrix(kernels.GaussianKernel(4.0), X, X)
-        expected = cho_factor(K + 1e-2 * np.eye(400), lower=True)[0]
+        expected = lapack.dpftrf(400, _packed(K + 1e-2 * np.eye(400)), uplo="L")[0]
+        P = _packed(K)
         tracemalloc.start()
         try:
-            L, _ = kernels._factor(lambda: np.array(K, dtype=float, order="F"), 1e-2)
+            L = kernels._factor(P.copy, 400, 1e-2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(L, expected)
         # the copy that becomes the factor, plus O(n) for the diagonal shift;
-        # the finiteness test reads min and max and builds no n x n mask
-        assert peak < K.nbytes + 64 * len(K), f"peak {peak} B, K {K.nbytes} B"
+        # the finiteness test reads min and max and builds no mask
+        assert peak < P.nbytes + 64 * len(K), f"peak {peak} B, packed K {P.nbytes} B"
 
     def test_fitted_model_round_trip(self):
         d = self._train()
@@ -331,8 +342,8 @@ class TestKNN:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), width=st.integers(1, 7), n=st.integers(1, 30))
 def test_kernel_matrix_of_one_input_set_is_bitwise_symmetric(data, width, n):
-    # the in-place factorization hands K.T to LAPACK as K, so K must equal
-    # its transpose bit for bit, not only to roundoff
+    # a kernel matrix of one input set is exactly symmetric, so the lower
+    # triangle that the packed factor keeps loses nothing
     X = data.draw(hnp.arrays(np.float64, (n, width), elements=st.floats(-1e3, 1e3)))
     spec = data.draw(st.sampled_from([
         kernels.GaussianKernel(data.draw(st.floats(1e-3, 1e3))),
@@ -341,6 +352,36 @@ def test_kernel_matrix_of_one_input_set_is_bitwise_symmetric(data, width, n):
     ]))
     K = kernels.kernel_matrix(spec, X, X)
     np.testing.assert_array_equal(K, K.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), width=st.integers(1, 3),
+       strip=st.sampled_from([1, 4, 8, 1 << 20]), reg=st.sampled_from([0.0, 1e-10, 0.3]))
+def test_packed_kernel_is_the_lower_triangle_of_k_plus_reg_i(data, n, width, strip, reg):
+    X = data.draw(hnp.arrays(np.float64, (n, width), elements=st.floats(-10, 10)))
+    spec = data.draw(st.sampled_from([
+        kernels.GaussianKernel(data.draw(st.floats(1e-3, 1e3))),
+        kernels.LinearKernel(),
+        kernels.PolynomialKernel(data.draw(st.integers(1, 3)), data.draw(st.floats(0, 10))),
+    ]))
+    with pytest.MonkeyPatch.context() as mp:  # strips of `strip` columns: 16 n strip bytes
+        mp.setattr(kernels, "_BLOCK_BYTES", 16 * n * strip)
+        P = kernels._packed_kernel(spec, X)
+    for diagonal in kernels._packed_diagonal(P, n):
+        diagonal += reg
+    expected = np.tril(kernels.kernel_matrix(spec, X, X) + reg * np.eye(n))
+    if isinstance(spec, kernels.GaussianKernel) or width == 1:  # elementwise: the same bits
+        np.testing.assert_array_equal(_unpacked(P, n), expected)
+        return
+    # a strip's products are one gemm, the dense matrix's one syrk: each sum of
+    # p = width products errs by at most p eps S, S = |X| |X|^T; adding c, the
+    # power d and the shift reg each round once more, and the power scales an
+    # error in s + c by d (S + c)^(d - 1): |delta| <= 4 d (p + 1) eps ((S + c)^d
+    # + reg I), of which a seeded sweep of 3000 draws reached 0.15
+    d, c = (spec.degree, spec.offset) if isinstance(spec, kernels.PolynomialKernel) else (1, 0.0)
+    S = np.abs(X) @ np.abs(X).T
+    tol = 4 * d * (width + 1) * np.finfo(float).eps * ((S + c) ** d + reg * np.eye(n))
+    assert np.all(np.abs(_unpacked(P, n) - expected) <= np.tril(tol))
 
 
 def _gp_1d(n, seed=21):
@@ -372,13 +413,33 @@ def test_variance_peak_does_not_grow_with_queries():
     assert large < 1.1 * small, f"{large / 1e6:.1f} MB vs {small / 1e6:.1f} MB"
 
 
+def _packed_bound(n):
+    """The packed n x n triangle, 4 n (n + 1) bytes, plus one _BLOCK_BYTES
+    query block or one fit strip (half a block, and kernel_matrix's one more
+    array of its size), plus 1 MiB."""
+    return 4 * n * (n + 1) + kernels._BLOCK_BYTES + MiB
+
+
 def test_gpr_fit_factors_the_kernel_in_its_own_buffer():
-    # K(t, t) is the one n x n buffer, factored where it is built and tested
-    # for finiteness without a mask
+    # K(t, t)'s packed triangle is the one n^2-sized buffer, factored where it
+    # is built and tested for finiteness without a mask
     d, _ = _gp_1d(1500)
     peak = _peak(lambda: kernels.gpr_fit(d, kernels.GaussianKernel(4.0), 1e-2))
     print(f"gpr_fit peak {peak / MiB:.2f} MiB")
-    assert peak <= 8 * d.n_points**2 + MiB, f"peak {peak / MiB:.2f} MiB"
+    assert peak <= _packed_bound(d.n_points), f"peak {peak / MiB:.2f} MiB"
+
+
+@pytest.mark.parametrize("fit, kern, reg", [
+    (kernels.gpr_fit, kernels.GaussianKernel(1.0), 1e-2),  # a second strip-sized buffer
+    (kernels.krr_fit, kernels.PolynomialKernel(3, 1.0), 0.1),  # (A B^T + c) ** 3 temporaries
+], ids=["gaussian-3-columns", "polynomial"])
+def test_fits_that_build_kernel_temporaries_hold_one_strip(fit, kern, reg):
+    rng = np.random.default_rng(22)
+    X = rng.uniform(-2, 2, (1500, 3 if isinstance(kern, kernels.GaussianKernel) else 1))
+    d = Dataset(X, np.sin(X[:, :1]))
+    peak = _peak(lambda: fit(d, kern, reg))
+    print(f"{kern} fit peak {peak / MiB:.2f} MiB")
+    assert peak <= _packed_bound(d.n_points), f"peak {peak / MiB:.2f} MiB"
 
 
 @pytest.mark.parametrize("kern", [kernels.GaussianKernel(4.0), kernels.LinearKernel()])
@@ -390,8 +451,7 @@ def test_variance_holds_the_factor_and_one_query_block(kern):
     Xq = rng.uniform(-2, 2, (3000, 1))
     peak = _peak(lambda: m.predict_with_variance(Xq))
     print(f"{kern} predict_with_variance peak {peak / MiB:.2f} MiB")
-    bound = 8 * d.n_points**2 + kernels._BLOCK_BYTES + MiB
-    assert peak <= bound, f"peak {peak / MiB:.2f} MiB"
+    assert peak <= _packed_bound(d.n_points), f"peak {peak / MiB:.2f} MiB"
 
 
 @pytest.mark.parametrize("kern", KERNELS)
@@ -448,9 +508,9 @@ def test_query_kernel_names_the_first_row_with_only_nan_or_only_inf(bad_row, onl
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_factor_refuses_a_kernel_with_only_nan_or_only_inf(bad):
-    K = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, bad], [0.0, bad, 1.0]], order="F")
+    K = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, bad], [0.0, bad, 1.0]])
     with pytest.raises(NumericalError, match=r"kernel matrix plus 0\.1 I has non-finite entries"):
-        kernels._factor(lambda: K.copy(order="F"), 0.1)
+        kernels._factor(lambda: _packed(K), 3, 0.1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -131,6 +131,23 @@ def test_singular_slice_is_named_by_its_index(case):
     assert info.value.index == k
 
 
+def test_slice_that_passes_cholesky_but_fails_lu_is_named():
+    # rank 2: Cholesky of its normal matrix ends on a positive roundoff pivot,
+    # while LU meets an exact zero pivot; the slices around it solve alone
+    bad = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    Phi, Y = np.stack([np.eye(3), bad, np.eye(3)]), np.ones((3, 3))
+    np.linalg.cholesky(bad.T @ bad)
+    with pytest.raises(linear.SingularStackError, match="singular") as info, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        linear.ridge_solve(Phi, Y, 0.0)
+    assert info.value.index == 1
+    linear.ridge_solve(Phi[0], Y[0], 0.0)
+    with pytest.raises(NumericalError, match="singular"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        linear.ridge_solve(Phi[1], Y[1], 0.0)
+
+
 def test_overflowing_normal_equations_are_refused():
     Phi = np.ones((3, 4, 2))
     Phi[1, 0, 0] = 1e200  # finite features whose normal matrix overflows
