@@ -26,10 +26,9 @@ eigenvalue. Roundoff's tiny negative posterior eigenvalues are clamped to
 zero.
 
 Kernels use LAPACK's packed Cholesky ``dpftrf`` and its solves ``dpftrs``
-and ``dtfsm`` from ``scipy.linalg.lapack``, which numpy lacks. The functions
-that factor or solve load ``scipy.linalg`` through ``_scipy.linalg`` when
-they run, so importing regfit, or running any command but a krr or gpr fit
-and a gpr predict (with variances), leaves it unloaded.
+and ``dtfsm``, which ``numpy.linalg`` does not wrap, from the OpenBLAS that
+numpy bundles, through ``regfit._lapack``; that binding looks them up the
+first time a kernel is factored.
 
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
@@ -47,7 +46,7 @@ from .data import Dataset
 from .errors import (
     NumericalError, ValidationError, as_integer, as_number, as_number_array, require_keys,
 )
-from ._scipy import linalg as scipy_linalg
+from . import _lapack
 from .linear import _squared_distances
 
 # jitter added to a kernel diagonal when an unregularized factorization fails
@@ -56,10 +55,11 @@ DIAGONAL_JITTER = 1e-10
 # K(block, t) bytes per query block: _BLOCK_BYTES // (8 n) rows, rounded down
 # to a multiple of 8 (at least 1); a prediction holds one block and the packed
 # factor, and a fit builds K(t, t) in strips of half a block. n = 1500,
-# q = 3000, 2 cores: a variance prediction took 180-190 ms in 2 MiB blocks,
-# 190-230 in 1 MiB, 390-450 in 4 MiB. The size is part of the variance bytes:
-# at 2 BLAS threads no size from 0.5 to 8 MiB kept the one-block bits under
-# dtfsm (the means kept them at every size).
+# q = 3000, 2 cores, one BLAS pool: a variance prediction took 220-240 ms
+# (medians of 9) in 2 MiB blocks, 265-275 in 1 MiB, 215-230 in 4 MiB, which
+# would add 2 MiB to the peak for no clear gain. The size is part of the
+# variance bytes: at 2 BLAS threads no size from 0.5 to 8 MiB kept the
+# one-block bits under dtfsm (the means kept them at every size).
 _BLOCK_BYTES = 2 << 20
 
 
@@ -200,8 +200,6 @@ def _factor(build, n: int, reg: float) -> np.ndarray:
     """Cholesky (lower, rectangular full packed) of the n x n K + reg I, each
     attempt in place in a fresh packed K = build(); one retry with
     DIAGONAL_JITTER when reg = 0."""
-    lapack = scipy_linalg().lapack
-
     def shifted(shift):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             A = build()
@@ -212,11 +210,11 @@ def _factor(build, n: int, reg: float) -> np.ndarray:
         return A
 
     for shift in (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,):
-        L, info = lapack.dpftrf(n, shifted(shift), uplo="L", overwrite_a=True)
-        if info == 0:
-            return L
-    K = lapack.dtfttr(n, shifted(reg), uplo="L")[0]
-    smallest = float(np.linalg.eigvalsh(K)[0])
+        A = shifted(shift)
+        if _lapack.dpftrf(n, A) == 0:
+            return A
+        del A  # a failed attempt goes before the next one is built
+    smallest = float(np.linalg.eigvalsh(_lapack.dtfttr(n, shifted(reg)))[0])
     raise NumericalError(f"kernel matrix plus {reg} I is not positive-definite "
                          f"(smallest pivot/eigenvalue {smallest:.3e})")
 
@@ -224,15 +222,17 @@ def _factor(build, n: int, reg: float) -> np.ndarray:
 def woodbury_discrepancy(Phi, alpha: float) -> float:
     """Max-abs difference between the two matrix-inversion-lemma forms
     (Phi^T Phi + a I_b)^-1 Phi^T and Phi^T (Phi Phi^T + a I_n)^-1,
-    each evaluated with its own factorized solve."""
-    sla = scipy_linalg()
-
+    each evaluated with its own Cholesky solve."""
     if not alpha > 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     n, b = Phi.shape
-    primal = sla.cho_solve(sla.cho_factor(Phi.T @ Phi + alpha * np.eye(b), lower=True), Phi.T)
-    dual = sla.cho_solve(sla.cho_factor(Phi @ Phi.T + alpha * np.eye(n), lower=True), Phi).T
+
+    def solve(A, B):
+        return _lapack.dpotrs(np.linalg.cholesky(A).T, np.array(B, order="F"))
+
+    primal = solve(Phi.T @ Phi + alpha * np.eye(b), Phi.T)
+    dual = solve(Phi @ Phi.T + alpha * np.eye(n), Phi).T
     return float(np.max(np.abs(primal - dual)))
 
 
@@ -287,8 +287,6 @@ def gpr_posterior(
     A query row whose kernel values are not finite is refused with a
     NumericalError that names it.
     """
-    lapack = scipy_linalg().lapack
-
     if noise_variance < 0:
         raise ValidationError(f"noise variance must be nonnegative, got {noise_variance}")
     Xq = np.atleast_2d(np.asarray(X, dtype=float))
@@ -297,8 +295,8 @@ def gpr_posterior(
         return GPRPosterior(np.zeros((Xq.shape[0], 1)), K_qq, noise_variance)
     K_qt = _query_kernel(kernel, Xq, d.inputs)
     L = _factor_kernel(kernel, d.inputs, noise_variance)
-    mean = K_qt @ lapack.dpftrs(d.n_points, L, d.targets, uplo="L")[0]
-    v = lapack.dtfsm(1.0, L, K_qt.T, uplo="L")
+    mean = K_qt @ _lapack.dpftrs(d.n_points, L, np.array(d.targets, order="F"))
+    v = _lapack.dtfsm(d.n_points, L, K_qt.T)  # in K_qt's buffer
     cov = K_qq - v.T @ v
     return GPRPosterior(mean, _clamp_negative_eigenvalues(cov), noise_variance)
 
@@ -353,8 +351,6 @@ class KernelModel:
         """K(q, t) dual_coef and, given the factor L, sum_i v_iq^2 for the 2-D
         queries Xq, a block at a time; a NumericalError names (from 1) the first
         query row whose kernel values are not finite."""
-        if L is not None:
-            dtfsm = scipy_linalg().lapack.dtfsm
         t = self.train_inputs
         mean = np.empty((Xq.shape[0], self.dual_coef.shape[1]))
         vv = np.empty(Xq.shape[0])
@@ -363,7 +359,7 @@ class KernelModel:
             K_bt = _query_kernel(self.kernel, Xq[first : first + step], t, first)
             np.matmul(K_bt, self.dual_coef, out=mean[first : first + step])
             if L is not None:
-                v = dtfsm(1.0, L, K_bt.T, uplo="L", overwrite_b=True)
+                v = _lapack.dtfsm(t.shape[0], L, K_bt.T)
                 vv[first : first + step] = np.einsum("ij,ij->j", v, v)
             K_bt = v = None  # v is K_bt's buffer: free it before the next block
         return mean, vv
@@ -408,12 +404,10 @@ def gpr_fit(d: Dataset, kernel: KernelSpec, noise_variance: float) -> KernelMode
 
 
 def _kernel_fit(kind: str, d: Dataset, kernel: KernelSpec, reg: float, name: str):
-    dpftrs = scipy_linalg().lapack.dpftrs
-
     if reg < 0:
         raise ValidationError(f"{name} must be nonnegative, got {reg}")
     L = _factor_kernel(kernel, d.inputs, reg)
-    dual_coef = dpftrs(d.n_points, L, d.targets, uplo="L")[0]
+    dual_coef = _lapack.dpftrs(d.n_points, L, np.array(d.targets, order="F"))
     return KernelModel(kind, kernel, d.inputs, dual_coef, reg)
 
 

@@ -233,8 +233,9 @@ def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     matrix is positive-definite and ``np.linalg.solve`` solves it by LU; both
     call LAPACK once per slice on its own copy, so each slice's weights are
     bit-identical to solving it alone. A stack warns once, with its worst
-    condition number; overflowing or singular normal equations raise
-    SingularStackError, which names the first failing slice.
+    condition number; overflowing or singular normal equations, and weights
+    that overflow in the solve, raise SingularStackError, which names the
+    first failing slice.
     """
     if alpha < 0:
         raise ValidationError(f"ridge alpha must be nonnegative, got {alpha}")
@@ -276,6 +277,11 @@ def ridge_solve(Phi: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
                 break
         raise SingularStackError(f"normal matrix is singular at alpha={alpha} "
                                  f"(condition estimate {cond[index]:.2e})", index) from None
+    finite = np.isfinite(W).all(axis=(1, 2))
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise SingularStackError("solved weights are not finite: the features or targets "
+                                 f"overflow (condition estimate {cond[index]:.2e})", index)
     return W if Phi.ndim == 3 else W[0]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import linalg as scipy_linalg
+from . import _lapack
 from .errors import NumericalError, ValidationError
 
 
@@ -23,7 +23,10 @@ class MSE:
 
 @dataclass(frozen=True)
 class WeightedMSE:
-    """Quadratic form weighted by the inverse of a SPD covariance matrix."""
+    """Quadratic form weighted by the inverse of a SPD covariance matrix. The
+    spec keeps the covariance's Cholesky factor (``np.linalg.cholesky``, which
+    also proves it positive-definite), so each value is one LAPACK ``dpotrs``
+    solve (through ``regfit._lapack``)."""
 
     covariance: np.ndarray
 
@@ -39,9 +42,10 @@ class WeightedMSE:
         object.__setattr__(self, "covariance", S)
         # positive definiteness is verified by factorization, not eigenvalues
         try:
-            object.__setattr__(self, "_chol", scipy_linalg().cho_factor(S, lower=True))
+            U = np.linalg.cholesky(S).T  # Fortran-ordered, as dpotrs takes it
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"covariance is not positive-definite: {exc}") from exc
+        object.__setattr__(self, "_chol", U)
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ def _solve_residual(spec: WeightedMSE, e: np.ndarray) -> np.ndarray:
     n = spec.covariance.shape[0]
     if e.shape[0] != n:
         raise ValidationError(f"covariance is {n}x{n}, residual has {e.shape[0]} rows")
-    return scipy_linalg().cho_solve(spec._chol, e)
+    return _lapack.dpotrs(spec._chol, np.array(e, order="F"))
 
 
 def huber(e, delta: float) -> float:

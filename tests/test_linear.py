@@ -148,6 +148,22 @@ def test_slice_that_passes_cholesky_but_fails_lu_is_named():
         linear.ridge_solve(Phi[1], Y[1], 0.0)
 
 
+def test_weights_that_overflow_in_the_solve_are_refused():
+    # finite normal equations whose solve overflows: +-1e308 targets at x = 0,
+    # 0.5, 1 give a cubic's weights nan, -inf, -1.6e308, 1e308
+    d = Dataset([[0.0], [0.5], [1.0]], [[1e308], [-1e308], [1e308]])
+    with pytest.raises(linear.SingularStackError, match="solved weights are not finite") as info, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        linear.ridge_fit(d, linear.Polynomial(3), 0.0)
+    assert info.value.index == 0
+    Phi = linear.feature_matrix(linear.Polynomial(3), d.inputs)
+    with pytest.raises(linear.SingularStackError) as info, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        linear.ridge_solve(np.stack([Phi, Phi]), np.stack([np.ones((3, 1)), d.targets]), 0.0)
+    assert info.value.index == 1
+
+
 def test_overflowing_normal_equations_are_refused():
     Phi = np.ones((3, 4, 2))
     Phi[1, 0, 0] = 1e200  # finite features whose normal matrix overflows

@@ -100,6 +100,14 @@ class TestPenalizedFit:
         ridge = linear.ridge_fit(d, basis, d.n_points * alpha_reg)
         assert np.max(np.abs(m.weights - ridge.weights)) < 1e-12
 
+    def test_zero_physics_weight_refuses_weights_that_overflow(self, poisson_problem):
+        # the ridge path's solve overflows: no NaN model comes back
+        d = Dataset([[0.0], [0.5], [1.0]], [[1e308], [-1e308], [1e308]])
+        with pytest.raises(NumericalError, match="solved weights are not finite"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            physics.penalized_fit(d, poisson_problem, linear.Polynomial(3), 0.0)
+
     def test_no_data_and_no_physics_gives_zero_weights_under_regularization(
             self, poisson_problem, poisson_basis):
         m = physics.penalized_fit(None, poisson_problem, poisson_basis, 0.0, 1e-3)
