@@ -1,6 +1,6 @@
 """Command-line front end: fit/predict/cv/bootstrap/pde-solve/symreg/gen-data.
 
-All randomness flows from the single --seed flag (default 42), and
+All randomness flows from the single --seed flag (default 42, nonnegative), and
 repeated runs with identical flags produce byte-identical artifacts. Data
 tables are CSV; every JSON report is one envelope (``schema_version`` 1,
 ``command``, ``seed``) around the command's fields, from ``_write_report``.
@@ -469,6 +469,8 @@ def main(argv=None) -> int:
             for dest, value in vars(args).items():  # NaN or inf in a float option
                 if isinstance(value, float):
                     as_number(value, "--" + dest.replace("_", "-"))
+            if args.seed < 0:  # numpy's generators take no negative seed
+                raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
             return args.func(args)
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,9 @@ crossover and subtree mutation; parents come from tournament selection
 with fitness ties broken by smaller trees, then by population index. The
 population is initialized ramped half-and-half between depth 1 and the
 configured maximum. Depth counts edges from the root: a lone terminal has
-depth 0. Each run caches fitness per distinct tree.
+depth 0. Each run caches fitness per distinct tree. It draws from ``_Draws``,
+the values ``np.random.default_rng(seed)`` gives without its per-call overhead;
+``random_tree``, ``crossover`` and ``mutate`` take either source.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -199,6 +202,38 @@ def _subtree_end(t: tuple, i: int) -> int:
     return i
 
 
+class _Draws:
+    """What ``np.random.default_rng(seed)``'s ``random``, ``uniform`` and ``integers(n[, size])``
+    return, from PCG64's words: ``random`` is (word >> 11) * 2**-53; ``integers`` (n <= 2**32)
+    is Lemire's method (ACM TOMACS 29(1), 2019) on 32-bit halves, low half first and the high
+    half kept for the next, with nothing drawn for n = 1; ``size=k`` is k draws, as a list."""
+
+    def __init__(self, seed: int):
+        bits = np.random.PCG64(seed)
+        self._words = chain.from_iterable(iter(lambda: bits.random_raw(1024).tolist(), None))
+        self._high = None
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def integers(self, n: int, size: int | None = None):
+        if size is not None:
+            return [self.integers(n) for _ in range(size)]
+        threshold = (1 << 32) % n  # (2**32 - n) mod n: the low products that bias the draw
+        while n > 1:  # n = 1 draws nothing
+            if self._high is None:
+                word = next(self._words)
+                u, self._high = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, self._high = self._high, None
+            if (u * n) & 0xFFFFFFFF >= threshold:
+                return (u * n) >> 32
+        return 0
+
+
 @dataclass(frozen=True)
 class GPConfig:
     """Primitive set, population shape and the genetic-operation rates
@@ -231,6 +266,9 @@ class GPConfig:
             raise ValidationError("population must have at least 2 individuals")
         if self.generations < 1 or self.max_depth < 1 or self.tournament_size < 1:
             raise ValidationError("generations, max_depth and tournament_size must be >= 1")
+        if self.tournament_size > self.population_size:
+            raise ValidationError(f"tournament_size {self.tournament_size} exceeds "
+                                  f"population_size {self.population_size}")
         if self.max_depth > DEPTH_LIMIT:  # a full tree doubles in size with every level
             raise ValidationError(f"max_depth must be at most {DEPTH_LIMIT}, got {self.max_depth}")
         object.__setattr__(self, "primitives", prims)
@@ -293,7 +331,7 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
     """
     if d.n_outputs != 1:
         raise ValidationError("symbolic regression supports a single target column")
-    rng = np.random.default_rng(cfg.seed)
+    rng = _Draws(cfg.seed)
     X, y = d.inputs, d.targets[:, 0]
     n_inputs = d.n_inputs
 
@@ -325,7 +363,7 @@ def evolve(d: Dataset, cfg: GPConfig) -> tuple[tuple, np.ndarray]:
         return [cache[t] for t in trees]
 
     def tournament(keys):
-        contenders = rng.integers(cfg.population_size, size=cfg.tournament_size).tolist()
+        contenders = rng.integers(cfg.population_size, size=cfg.tournament_size)
         return population[min(contenders, key=keys.__getitem__)]
 
     # Rates sum to 1, so when no variation rate is left n_elite fills the population.

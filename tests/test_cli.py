@@ -486,6 +486,37 @@ def test_refused_command_leaves_no_output_directory(data_csv, poisson_json, tmp_
     assert not (tmp_path / "refused").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    *((args, "--seed must be nonnegative, got -1") for args in (
+        ["gen-data", "--seed", -1],
+        ["fit", "--model", "ridge", "--seed", -1, "--input", "DATA"],
+        ["fit", "--model", "mlp", "--epochs", 2, "--seed", -1, "--input", "DATA"],
+        ["predict", "--model", "MODEL", "--seed", -1, "--input", "DATA"],
+        ["cv", "--seed", -1, "--input", "DATA"],
+        ["bootstrap", "--seed", -1, "--input", "DATA"],
+        ["pde-solve", "--problem", "PROBLEM", "--seed", -1],
+        ["symreg", "--seed", -1, "--input", "DATA"],
+    )),
+    (["symreg", "--tournament", 100_000_000_000, "--input", "DATA"],
+     "tournament_size 100000000000 exceeds population_size 200"),
+    (["symreg", "--population", 3, "--tournament", 4, "--input", "DATA"],
+     "tournament_size 4 exceeds population_size 3"),
+], ids=["gen-data-seed", "fit-seed", "fit-mlp-seed", "predict-seed", "cv-seed",
+        "bootstrap-seed", "pde-solve-seed", "symreg-seed", "symreg-tournament",
+        "symreg-tournament-over-population"])
+def test_refused_in_process_with_one_error_line(data_csv, poisson_json, tmp_path, capsys, args,
+                                               message):
+    model = tmp_path / "ridge"
+    assert run(["fit", "--model", "ridge", "--input", data_csv, "--output", model]) == 0
+    args = [{"DATA": data_csv, "MODEL": model / "model.json", "PROBLEM": poisson_json}.get(a, a)
+            for a in args]
+    out = tmp_path / "refused" / "out"
+    capsys.readouterr()
+    assert run([*args, "--output", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "refused").exists()
+
+
 @pytest.mark.parametrize("args, artifact", [
     (["fit", "--model", "lasso", "--max-iters", 3], "model.json"),
     (["fit", "--model", "ridge", "--degree", 15], "model.json"),

@@ -165,6 +165,12 @@ def test_config_validation():
         symreg.GPConfig(primitives=("add", "var", "pow"))
     with pytest.raises(ValidationError):
         symreg.GPConfig(population_size=1)
+    with pytest.raises(ValidationError, match="tournament_size 5 exceeds population_size 4"):
+        symreg.GPConfig(population_size=4, tournament_size=5)
+    with pytest.raises(ValidationError, match="tournament_size 100000000000 exceeds "
+                                              "population_size 200"):
+        symreg.GPConfig(tournament_size=100_000_000_000)
+    assert symreg.GPConfig(population_size=4, tournament_size=4).tournament_size == 4
 
 
 def test_trees_are_bare_prefix_tuples():
@@ -391,3 +397,60 @@ def test_out_of_range_variable_keeps_its_message():
     with pytest.raises(ValidationError) as err:
         symreg.eval_trees([var(0), node("add", var(0), var(2))], np.zeros((3, 2)))
     assert str(err.value) == "variable x2 out of range for 2 input columns"
+
+
+# n at the edges of Lemire's method: 1 draws nothing, 2**32 never rejects, and
+# near 2**31 and 2**32 a large share of 32-bit words is rejected
+_BOUNDS = st.one_of(
+    st.sampled_from([1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30 + 5, 2**32 - 1, 2**32]),
+    st.integers(1, 2**32),
+    st.integers(2**32 - 2**10, 2**32),
+    st.integers(1, 300),
+)
+_CALLS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("integers"), _BOUNDS),
+    st.tuples(st.just("integers"), _BOUNDS, st.integers(0, 6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=st.lists(_CALLS, max_size=60))
+def test_draws_equal_the_generators(seed, calls):
+    ours, numpys = symreg._Draws(seed), np.random.default_rng(seed)
+    for call in calls:
+        if call[0] == "random":
+            assert ours.random() == numpys.random()
+        elif call[0] == "uniform":
+            assert ours.uniform(-5, 5) == numpys.uniform(-5, 5)
+        elif len(call) == 2:
+            assert ours.integers(call[1]) == numpys.integers(call[1])
+        else:
+            n, size = call[1:]
+            assert ours.integers(n, size=size) == numpys.integers(n, size=size).tolist()
+    # the same state after the sequence, a kept high half included
+    assert [ours.random() for _ in range(3)] == [numpys.random() for _ in range(3)]
+    assert ours.integers(2**32) == numpys.integers(2**32)
+
+
+def test_variation_gives_the_same_trees_from_either_source():
+    cfg = symreg.GPConfig(primitives=_ALL_PRIMITIVES, max_depth=5)
+    for seed in range(20):
+        results = []
+        for rng in (symreg._Draws(seed), np.random.default_rng(seed)):
+            t1 = symreg.random_tree(rng, cfg, 2, 5, full=True)
+            t2 = symreg.random_tree(rng, cfg, 2, 4, full=False)
+            results.append((t1, t2, symreg.crossover(t1, t2, rng, 5),
+                            symreg.mutate(t1, rng, cfg, 2), rng.random()))
+        assert results[0] == results[1]
+
+
+def test_evolve_builds_no_numpy_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve built a numpy Generator")
+
+    d = _pinned_dataset(1)
+    monkeypatch.setattr(symreg.np.random, "default_rng", refuse)
+    best, _ = symreg.evolve(d, symreg.GPConfig(population_size=40, generations=8, seed=11))
+    assert symreg.to_prefix(best) == PINNED_RUNS[0].values[2]
