@@ -196,7 +196,8 @@ def cmd_fit(args) -> int:
 
 
 def _model_from_dict(doc):
-    """The model a stored document describes; for a bagged ensemble, its basis."""
+    """The model a stored document describes; for a bagged ensemble, its basis
+    and its validated weight population."""
     require_keys(doc, ("kind",), "model")
     if doc.get("standardize"):
         require_keys(doc["standardize"], ("mean", "std"), "standardize")
@@ -221,7 +222,7 @@ def _model_from_dict(doc):
         if W.ndim != 2 or W.shape[0] != basis.n_basis or W.shape[1] < 1:
             raise ValidationError(f"{what} key 'weight_population' must be a "
                                   f"{basis.n_basis} x n_E matrix with n_E >= 1")
-        return basis
+        return basis, W
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -233,9 +234,10 @@ def cmd_predict(args) -> int:
     if doc["kind"] == "gpr":
         y, var = model.predict_with_variance(Xs)
         unc = CONFIDENCE_FACTOR * np.sqrt(var)
-    elif doc["kind"] == "linear_ensemble":  # model is the ensemble's basis
-        y, u = resampling.ensemble_band(linear.feature_matrix(model, Xs),
-                                        doc["weight_population"], float(doc["j_i_mean"]))
+    elif doc["kind"] == "linear_ensemble":  # model is the ensemble's basis and weights
+        basis, W = model
+        y, u = resampling.ensemble_band(linear.feature_matrix(basis, Xs), W,
+                                        float(doc["j_i_mean"]))
         y, unc = y[:, None], CONFIDENCE_FACTOR * u
     else:
         y = model.predict(Xs)

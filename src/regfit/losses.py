@@ -185,28 +185,31 @@ def loss_gradient(spec: LossSpec, y_true, y_pred, w=None):
     at the kink, +-1 outside (all divided by n_p). The l1 penalty subgradient
     is alpha * sign(w), 0 at 0.
     """
-    if isinstance(spec, Penalized):
-        grad_pred, _ = loss_gradient(spec.base, y_true, y_pred)
-        if w is None:
-            return grad_pred, None
-        w = np.asarray(w, dtype=float)
-        if spec.norm == "l2":
-            grad_w = 2.0 * spec.alpha * w
-        else:
-            grad_w = spec.alpha * np.sign(w)
-        return grad_pred, grad_w
+    pred, penalty = gradient_rule(spec)
     a, b = _check_shapes(y_true, y_pred)
-    e = b - a
-    n = a.shape[0]
+    grad_w = None if penalty is None or w is None else penalty(np.asarray(w, dtype=float))
+    return pred(b - a, a.shape[0]), grad_w
+
+
+def gradient_rule(spec: LossSpec):
+    """``loss_gradient`` resolved once for a spec, without its shape checks:
+    ``pred(e, n)``, the gradient from the residual e = y_pred - y_true of n
+    rows, and ``penalty(w)`` on a float array (None without a penalty)."""
+    if isinstance(spec, Penalized):
+        pred = gradient_rule(spec.base)[0]
+        if spec.norm == "l2":
+            return pred, lambda w: 2.0 * spec.alpha * w
+        return pred, lambda w: spec.alpha * np.sign(w)
     if isinstance(spec, MSE):
-        return (2.0 / n) * e, None
+        return (lambda e, n: (2.0 / n) * e), None
     if isinstance(spec, WeightedMSE):
-        return (2.0 / n) * _solve_residual(spec, e.reshape(n, -1)).reshape(e.shape), None
+        solve = lambda e, n: _solve_residual(spec, e.reshape(n, -1)).reshape(e.shape)
+        return (lambda e, n: (2.0 / n) * solve(e, n)), None
     if isinstance(spec, Huber):
-        return (1.0 / n) * np.clip(e, -spec.delta, spec.delta), None
+        return (lambda e, n: (1.0 / n) * np.clip(e, -spec.delta, spec.delta)), None
     if isinstance(spec, EpsilonInsensitive):
-        g = np.where(np.abs(e) > spec.epsilon, np.sign(e), 0.0)
-        return (1.0 / n) * g, None
+        sign = lambda e: np.where(np.abs(e) > spec.epsilon, np.sign(e), 0.0)
+        return (lambda e, n: (1.0 / n) * sign(e)), None
     raise ValidationError(f"unknown loss spec {spec!r}")
 
 

@@ -11,24 +11,30 @@ biases: [W(2).ravel(), b(2), W(3).ravel(), b(3), ...]; ``MLP.weights`` and
 forward/backward sweep at such a vector: ``forward``, the gradients of
 ``MLP.flat_objective`` (what ``optim.minibatch_train`` trains on) and
 ``backprop``, and ``physics.pinn_train`` all run it.
+
+``_sweep`` follows a plan built once per network shape (``_layer_plan``) and
+writes the gradient into one vector; ``flat_objective`` resolves the loss
+gradient once (``losses.gradient_rule``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import ValidationError, as_integer, as_number_array, require_keys
-from .losses import EpsilonInsensitive, LossSpec, Penalized, loss_gradient, loss_value
+from .losses import EpsilonInsensitive, LossSpec, Penalized, gradient_rule, loss_value
 
-# name -> (a(z), a'(z) from the value y = a(z)): 1 - y^2 for tanh, and
-# [y > 0] for relu (y > 0 exactly when z > 0, so relu'(0) = 0). tanh is
-# looked up at call time, so a patched np.tanh is the one that runs.
+# name -> (a(z), a'(z) from the value y = a(z)): 1 - y^2 for tanh, [y > 0]
+# for relu (y > 0 exactly when z > 0, so relu'(0) = 0), None for the identity
+# (a' = 1 leaves a gradient as it is). tanh is looked up at call time, so a
+# patched np.tanh is the one that runs.
 ACTIVATIONS = {
     "tanh": (lambda z: np.tanh(z), lambda y: 1.0 - y * y),
     "relu": (lambda z: np.maximum(z, 0.0), lambda y: np.where(y > 0.0, 1.0, 0.0)),
-    "identity": (lambda z: z, lambda y: np.ones_like(y)),
+    "identity": (lambda z: z, None),
 }
 
 
@@ -42,7 +48,7 @@ def activation(kind: str, z):
     _check_activation(kind)
     value, derivative = ACTIVATIONS[kind]
     y = value(np.asarray(z, dtype=float))
-    return y, derivative(y)
+    return y, np.ones_like(y) if derivative is None else derivative(y)
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,9 @@ class MLP:
         for a in acts:
             _check_activation(a)
         w = np.array(self.params, dtype=float, copy=True).ravel()
-        _split_params(sizes, w)  # refuses a vector of the wrong length
+        expected = _layer_plan(sizes, acts)[-1][1].stop
+        if w.size != expected:
+            raise ValidationError(f"parameter vector has {w.size} entries, expected {expected}")
         w.setflags(write=False)
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "params", w)
@@ -71,11 +79,13 @@ class MLP:
 
     @property
     def weights(self) -> tuple:
-        return _split_params(self.layer_sizes, self.params)[0]
+        plan = _layer_plan(self.layer_sizes, self.activations)
+        return tuple(self.params[ws].reshape(shape) for ws, _, shape, _, _ in plan)
 
     @property
     def biases(self) -> tuple:
-        return _split_params(self.layer_sizes, self.params)[1]
+        plan = _layer_plan(self.layer_sizes, self.activations)
+        return tuple(self.params[bs] for _, bs, _, _, _ in plan)
 
     def predict(self, X) -> np.ndarray:
         return forward(self, X)
@@ -92,16 +102,20 @@ class MLP:
         parameters w; both run ``_sweep``, without building a network. Only
         ``grad`` refuses the epsilon-insensitive loss."""
         X = _check_width(self.layer_sizes, X)
+        Y, shape = np.asarray(Y, dtype=float), (len(X), self.layer_sizes[-1])
+        if Y.shape != shape:  # checked once, not per batch
+            raise ValidationError(f"shape mismatch: {Y.shape} vs {shape}")
         base = loss.base if isinstance(loss, Penalized) else loss
+        pred_grad, penalty_grad = gradient_rule(loss)
 
         def grad(w, rows):
             if isinstance(base, EpsilonInsensitive):
                 raise ValidationError("epsilon-insensitive loss is not differentiable "
                                       "enough for backprop")
             out, back = _sweep(self, w, X[rows])
-            out_grad, grad_w = loss_gradient(loss, Y[rows], out, w)
-            g = back(out_grad)
-            return g if grad_w is None else g + grad_w
+            y = Y[rows]
+            g = back(pred_grad(out - y, len(y)))
+            return g if penalty_grad is None else g + penalty_grad(w)
 
         def cost(w):
             return loss_value(loss, Y, _sweep(self, w, X)[0], w)
@@ -160,23 +174,6 @@ def flatten_params(net: MLP) -> np.ndarray:
     return net.params.copy()
 
 
-def _split_params(sizes, w) -> tuple[tuple, tuple]:
-    """Slice a flat vector into the weight matrices and bias vectors of a
-    network with layer sizes ``sizes``, as views of w."""
-    w = np.asarray(w, dtype=float).ravel()
-    expected = sum(b * a + b for a, b in zip(sizes[:-1], sizes[1:]))
-    if w.size != expected:
-        raise ValidationError(f"parameter vector has {w.size} entries, expected {expected}")
-    Ws, bs = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        Ws.append(w[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
-        pos += fan_out * fan_in
-        bs.append(w[pos : pos + fan_out])
-        pos += fan_out
-    return tuple(Ws), tuple(bs)
-
-
 def unflatten_params(net: MLP, w) -> MLP:
     """A network of net's shape with the flat parameters w."""
     return MLP(net.layer_sizes, w, net.activations)
@@ -194,29 +191,44 @@ def forward(net: MLP, X) -> np.ndarray:
     return _sweep(net, net.params, _check_width(net.layer_sizes, X))[0]
 
 
+@cache
+def _layer_plan(sizes: tuple, activations: tuple) -> tuple:
+    """Per layer l = 2..L: the slices of W(l) and b(l) in the flat vector,
+    W(l)'s shape, and the activation's a(l) and a'(l)."""
+    plan, pos = [], 0
+    for fan_in, fan_out, kind in zip(sizes[:-1], sizes[1:], activations):
+        end = pos + fan_out * fan_in
+        plan.append((slice(pos, end), slice(end, end + fan_out), (fan_out, fan_in),
+                     *ACTIVATIONS[kind]))
+        pos = end + fan_out
+    return tuple(plan)
+
+
 def _sweep(net: MLP, w, X):
     """The output of a network of net's shape at flat parameters w on the
     batch X, and ``back(G)``: the flat gradient of sum(G * output), from one
     backward sweep over the cached layer outputs."""
-    Ws, bs = _split_params(net.layer_sizes, w)
-    acts = [ACTIVATIONS[a] for a in net.activations]
+    plan = _layer_plan(net.layer_sizes, net.activations)
+    Ws = [w[ws].reshape(shape) for ws, _, shape, _, _ in plan]
     ys = [X]
-    for W, b, (value, _) in zip(Ws, bs, acts):
-        ys.append(value(ys[-1] @ W.T + b))
-    return ys[-1], lambda G: _backward(Ws, acts, ys, G)
+    for W, (_, bs, _, value, _) in zip(Ws, plan):
+        ys.append(value(ys[-1] @ W.T + w[bs]))
+    return ys[-1], lambda G: _backward(plan, Ws, ys, G)
 
 
-def _backward(Ws, acts, ys: list, out_grad) -> np.ndarray:
+def _backward(plan, Ws, ys: list, out_grad) -> np.ndarray:
     """Reverse-mode sweep over the layer outputs [X, y(2), ..., y(L)]: the
-    flat-parameter gradient of sum(out_grad * y(L))."""
+    flat-parameter gradient of sum(out_grad * y(L)), filled layer by layer."""
     G = np.asarray(out_grad, dtype=float).reshape(ys[0].shape[0], Ws[-1].shape[0])
-    grads = [None] * len(Ws)
-    for i in range(len(Ws) - 1, -1, -1):
-        D = G * acts[i][1](ys[i + 1])
-        grads[i] = np.concatenate([(D.T @ ys[i]).ravel(), D.sum(axis=0)])
+    g = np.empty(plan[-1][1].stop)
+    for i in range(len(plan) - 1, -1, -1):
+        ws, bs, _, _, derivative = plan[i]
+        D = G if derivative is None else G * derivative(ys[i + 1])
+        g[ws] = (D.T @ ys[i]).ravel()
+        g[bs] = D.sum(axis=0)
         if i > 0:
             G = D @ Ws[i]
-    return np.concatenate(grads)
+    return g
 
 
 def backprop(net: MLP, X, y_true, loss: LossSpec) -> np.ndarray:

@@ -25,7 +25,9 @@ one-member-at-a-time path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice, permutations, product
 
 import numpy as np
 
@@ -35,6 +37,10 @@ from .errors import NumericalError, ValidationError
 from .losses import mse
 
 _REDRAW_CAP = 100
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
 # Byte budget of one block's gathered feature rows. A member gathers at most
 # n_p rows on each side of its split, so a block of
@@ -106,6 +112,51 @@ def _draw_block(n_points: int, n_test: int, mode: str, rngs):
         yield train, test
 
 
+def _member_seeds(seed: int, n_members: int) -> np.ndarray:
+    """Row j: ``np.random.SeedSequence([seed, j]).generate_state(4, np.uint64)``
+    for every j < n_members (< 2**32) at once, hashmix and mix running on
+    uint32 columns: the entropy is seed's 32-bit words, then j."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    const = [_INIT_A]  # steps the same way for every member
+
+    def hashmix(value, mult=_MULT_A):
+        value = value ^ const[0]
+        const[0] = const[0] * mult & 0xFFFFFFFF
+        value = value * const[0]
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    entropy = [np.full(n_members, seed >> k & 0xFFFFFFFF, np.uint32)
+               for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(n_members, dtype=np.uint32))
+    pool = [hashmix(word) for word in (entropy + [np.zeros(n_members, np.uint32)] * 4)[:4]]
+    for src, dst in permutations(range(4), 2):  # each pool word into every other
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in product(entropy[4:], range(4)):  # entropy past the pool's 4 words
+        pool[dst] = mix(pool[dst], hashmix(word))
+    const[0] = _INIT_B  # generate_state: eight words, little-endian pairs
+    words = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _member_rngs(seeds):
+    """One Generator, set before each member j to ``default_rng([seed, j])``'s
+    state: pcg64_set_seed's two LCG steps on row j of ``_member_seeds``."""
+    rng = np.random.Generator(np.random.PCG64())
+    for row in seeds:  # to Python ints a row at a time, the high word of each pair first
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        inc = (i_hi << 65 | i_lo << 1 | 1) % (1 << 128)
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % (1 << 128)
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        yield rng
+
+
 def bootstrap_ensemble(
     d: Dataset,
     fit_fn,
@@ -153,11 +204,11 @@ def ridge_bootstrap(
     if n_members < 1:
         raise ValidationError(f"need at least one member, got {n_members}")
     n_test = _test_size(d.n_points, test_fraction, mode)
+    rngs = _member_rngs(_member_seeds(seed, n_members))  # refuses a negative seed
 
     def draws(step):  # drawn in the blocks that are fitted together
         for first in range(0, n_members, step):
-            yield from _draw_block(d.n_points, n_test, mode, (
-                np.random.default_rng([seed, j]) for j in range(n_members)[first : first + step]))
+            yield from _draw_block(d.n_points, n_test, mode, islice(rngs, step))
 
     return _ridge_members(d, basis, alpha, n_members, draws, "bootstrap member")
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,6 +216,42 @@ def test_ridge_bootstrap_equals_generic(basis, mode, test_fraction, alpha, small
     np.testing.assert_array_equal(got.weight_population, ref.weight_population)
     np.testing.assert_array_equal(got.in_sample_mse, ref.in_sample_mse)
     np.testing.assert_array_equal(got.out_sample_mse, ref.out_sample_mse)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
+       n_members=st.integers(1, 5000), data=st.data())
+@example(seed=2**200, n_members=5000, data=None)  # 8 entropy words: 4 mixed in past the pool
+@example(seed=0, n_members=1, data=None)
+def test_member_seeding_equals_numpys(seed, n_members, data):
+    # ridge_bootstrap's vectorized seeding against numpy's own, member by member
+    picks = {0, n_members - 1}
+    if data is not None:
+        picks |= set(data.draw(st.lists(st.integers(0, n_members - 1), max_size=12)))
+    picks = sorted(picks)
+    seeds = resampling._member_seeds(seed, n_members)
+    assert seeds.shape == (n_members, 4) and seeds.dtype == np.uint64
+    for j in picks:
+        ref = np.random.SeedSequence([seed, j]).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(seeds[j], ref)
+    # the reused generator, set to each member's state, draws what default_rng does
+    n_points = 2 + seed % 97
+    for mode, n_test in (("split", 1 + seed % (n_points - 1)), ("replacement", 0)):
+        rngs = resampling._member_rngs(seeds[picks])
+        got = list(resampling._draw_block(n_points, n_test, mode, rngs))
+        for (train, test), j in zip(got, picks, strict=True):
+            ref = next(resampling._draw_block(n_points, n_test, mode,
+                                              [np.random.default_rng([seed, j])]))
+            np.testing.assert_array_equal(train, ref[0])
+            np.testing.assert_array_equal(test, ref[1])
+    # a negative seed is refused, as numpy refuses it, before any draw
+    assert issubclass(ValidationError, ValueError)
+    with pytest.raises(ValueError):
+        np.random.default_rng([-seed - 1, 0])
+    with (mock.patch.object(resampling, "_draw_block", side_effect=AssertionError("drew")),
+          pytest.raises(ValidationError, match="seed must be nonnegative")):
+        resampling.ridge_bootstrap(_noisy_data(20), linear.Polynomial(1), 0.0, n_members,
+                                   seed=-seed - 1)
 
 
 @pytest.mark.parametrize("n_folds", [60, 12, 7], ids=["leave-one-out", "k-divides-n",

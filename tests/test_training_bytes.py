@@ -3,10 +3,12 @@ the training loop does.
 
 Each pin is the sha256 of the trained flat parameters and of the history
 array, as the per-step training loop that rebuilt the model at every step
-produced them: the flat-vector loop must change no bit. The pins hold for
-one numpy/BLAS build; a build whose tanh or matmul kernels round
-differently changes the last bits, and the pins must then be captured again
-from that earlier loop.
+produced them: the flat-vector loop must change no bit. The two bench-size
+pins (``mlp-cli-defaults``, ``pinn-bench``) come from the flat-vector loop
+as it was before the sweep followed a layer plan, which must change no bit
+either. The pins hold for one numpy/BLAS build; a build whose tanh or matmul
+kernels round differently changes the last bits, and the pins must then be
+captured again from those earlier loops.
 """
 
 import dataclasses
@@ -58,6 +60,14 @@ def _mlp_eps_custom_gradient():
                                  optim.BatchSchedule(16, 12, 11), huber)
 
 
+def _mlp_cli_defaults():
+    # fit --model mlp's defaults ([1,16,16,1], Adam 1e-3, batch 32, seed 42)
+    # on 2000 rows for 10 epochs: 62 full batches and a 16-row one per epoch
+    net = network.init_mlp([1, 16, 16, 1], seed=42)
+    return optim.minibatch_train(net, _sine_data(2000, 8), losses.MSE(), optim.Adam(eta=1e-3),
+                                 optim.BatchSchedule(32, 10, 42))
+
+
 def _problem(doc):
     return physics.problem_from_dict({"domain": [0.0, 1.0], **doc})
 
@@ -85,6 +95,16 @@ def _pinn_fit(doc, data=None, alpha_phys=1.0, epochs=40):
                               optim.BatchSchedule(8, epochs, 13))
 
 
+def _pinn_bench():
+    # the PINN solve of perfbench's small-many workload: [1,16,16,1], Adam
+    # 1e-2, 300 full physics steps, no data
+    doc = {**POISSON, "a": {"kind": "const", "value": 1.0},
+           "source": {"kind": "sin", "amplitude": -1.3 * np.pi**2, "frequency": np.pi}}
+    net = network.init_mlp([1, 16, 16, 1], ["tanh", "tanh", "identity"], seed=9)
+    return physics.pinn_train(net, _problem(doc), None, 1.0, optim.Adam(eta=1e-2),
+                              optim.BatchSchedule(32, 300, 9))
+
+
 def _pinn_with_data():
     rng = np.random.default_rng(6)
     x = rng.uniform(0.0, 1.0, (20, 1))
@@ -102,9 +122,11 @@ CASES = {
     "linear-custom-gradient": _linear_custom_gradient,
     "linear-adam": _linear_adam,
     "mlp-eps-custom-gradient": _mlp_eps_custom_gradient,
+    "mlp-cli-defaults": _mlp_cli_defaults,
     "pinn-dirichlet": lambda: _pinn_fit(POISSON),
     "pinn-neumann-poly": lambda: _pinn_fit(NEUMANN_POLY),
     "pinn-data": _pinn_with_data,
+    "pinn-bench": _pinn_bench,
 }
 
 # (sha256 of the trained flat parameters, sha256 of history.tobytes())
@@ -115,6 +137,8 @@ PINS = {
         "3a55fa791908f346ad7845a0abf82d65797751e6a54cc6f97518209eb2230ed7"),
     "linear-custom-gradient": ("125c1374a2fdf8c5b75e0825220a77976f73d145a2884df88fbac3edd3daa796",
         "94d299bf2c01c7bcd5cb6208d97483b0b3e9f3886a2a95f75bd7bbeee94cbf3a"),
+    "mlp-cli-defaults": ("efa41f167a2d40d75a94aa29ed9a88fad13fcc7d946b986889a24c69aab05bfc",
+        "db631c4722ddd3ab11aa9c34110458001c3893bd2dabbf38c012b594a303eaf7"),
     "mlp-adam": ("c0e3056cdacd6485b8afc15514c4cb8b3b15d21b17ce9146203dc48f256e278f",
         "6108047d9a6f9c14dcbee3947ca9ae6797305bca6f0ec5471f1ad271a3821cfa"),
     "mlp-gd": ("9264879b61e4f79388897882b9ae1e7484dd85a92e3810739c95b9392d68c6c8",
@@ -131,6 +155,8 @@ PINS = {
         "b6df109a5a0da3ad5b9308b7e29d759c635b053d9301c87f3263158d4aa8db5e"),
     "pinn-data": ("274e48e5d12dfdf2511c9f3fae85818ea52fb8e9154c6bf61228d05524914f94",
         "307dc903421152857526489aaf1802c2d1624feddd2069566cc23df85e4558dc"),
+    "pinn-bench": ("6f751a1c958ef85fa602f473603a32e9d7b28e09e49c3109ca2c97f7c25c4aee",
+        "2c2974d6f6120e24f537354b2dd87d0d03340b7f7e616122337633eb85c7d360"),
     "pinn-dirichlet": ("8172f84cb2a5a4d08c9437f18fb90c166d83f034384bb74cbd8eeaa3ac857c7d",
         "5be70282588764fd7616d45279e86546a9abe588318958415f40997191795b0a"),
     "pinn-neumann-poly": ("8dd7832d015fe7a02441216a3af099e9356b5c918a2623218c299169f0393a98",
