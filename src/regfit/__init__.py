@@ -2,11 +2,11 @@
 
 Subpackages by concern:
 
-* ``data``       dataset container, CSV I/O, splits, synthetic generator
+* ``data``       dataset container, CSV I/O, synthetic generator
 * ``losses``     cost functions and their (sub)gradients
 * ``linear``     polynomial/RBF features, ridge and lasso solvers
 * ``kernels``    interpolation, kNN, kernel ridge, Gaussian-process posterior
-* ``network``    feed-forward networks, backprop
+* ``network``    feed-forward networks, reverse-mode gradients
 * ``optim``      first-order update rules, mini-batch training
 * ``resampling`` bootstrap ensembles, bagging, K-fold cross-validation
 * ``physics``    RBF collocation for 1-D boundary-value problems
@@ -14,7 +14,7 @@ Subpackages by concern:
 * ``cli``        the ``regfit`` command-line front end
 """
 
-from .data import Dataset, generate_fig2_like, load_csv, save_csv, train_test_split
+from .data import Dataset, generate_fig2_like, load_csv, save_csv
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "generate_fig2_like",
     "load_csv",
     "save_csv",
-    "train_test_split",
     "NumericalError",
     "ValidationError",
 ]

@@ -10,7 +10,7 @@ the Woodbury check solve with a dense Cholesky factor by ``dpotrs``. The
 five names are looked up once, the first time one is called, through the
 handle of ``numpy.linalg._umath_linalg``, which is loaded with numpy, so
 importing regfit loads nothing more. A numpy whose LAPACK lacks one raises
-an ImportError that names it.
+a ValidationError that names it and the BLAS numpy reports.
 
 A packed matrix here is always TRANSR 'N', UPLO 'L': a flat float64 array of
 n (n + 1) / 2 entries. Every other matrix is a Fortran-ordered float64
@@ -23,6 +23,8 @@ argument LAPACK refused, raises.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ValidationError
 
 # Each routine's Fortran arguments in order: c a character, i an integer, d
 # a double, a an array, o the INFO integer LAPACK writes; every one is passed
@@ -54,9 +56,11 @@ def _bind() -> dict:
             try:
                 routine = getattr(library, symbol)
             except AttributeError:
-                raise ImportError(f"numpy's LAPACK has no {name} (symbol {symbol}); "
-                                  f"the kernel models need a numpy wheel that bundles "
-                                  f"its OpenBLAS") from None
+                blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+                raise ValidationError(
+                    f"numpy's LAPACK has no {name} (symbol {symbol}; numpy reports "
+                    f"BLAS {blas.get('name')} {blas.get('version')}); the kernel "
+                    f"models need a numpy wheel that bundles its OpenBLAS") from None
             routine.argtypes = ([kinds[k] for k in signature]
                                 + [ctypes.c_size_t] * signature.count("c"))
             routine.restype = None

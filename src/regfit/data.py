@@ -1,4 +1,4 @@
-"""Dataset container, CSV ingestion, splitting, and synthetic data.
+"""Dataset container, CSV ingestion, and synthetic data.
 
 The CSV layout is fixed: a mandatory header whose columns are named
 ``x0..x{n_x-1}`` (inputs) and ``y0..y{n_y-1}`` (targets), comma separated,
@@ -232,30 +232,6 @@ def save_csv(d: Dataset, path) -> None:
     ``\\r\\n`` line ends."""
     header = [f"x{i}" for i in range(d.n_inputs)] + [f"y{j}" for j in range(d.n_outputs)]
     _write_table(path, header, (d.inputs, d.targets), "\r\n")
-
-
-def split_indices(n_points: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint random row partition ``(train, test)``, each sorted, with
-    |test| = round(test_fraction * n)."""
-    if not 0.0 <= test_fraction < 1.0:
-        raise ValidationError(f"test_fraction must lie in [0, 1), got {test_fraction}")
-    n_test = int(np.rint(test_fraction * n_points))
-    if n_points - n_test < 1:
-        raise ValidationError(
-            f"test_fraction={test_fraction} leaves an empty training set for n={n_points}"
-        )
-    perm = np.random.default_rng(seed).permutation(n_points)
-    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
-
-
-def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
-    """Split ``d`` into disjoint train/test datasets; same seed, same split.
-
-    Returns ``(train, test)``; ``test`` is None when the fraction rounds to
-    an empty test set.
-    """
-    train, test = split_indices(d.n_points, test_fraction, seed)
-    return d.take(train), d.take(test) if test.size else None
 
 
 def generate_fig2_like(n_points: int, seed: int) -> Dataset:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError, as_integer, as_number_array, require_keys
-from .losses import LossSpec, loss_gradient, loss_value
+from .losses import LossSpec, gradient_rule, loss_value
 
 CONDITION_WARN_THRESHOLD = 1e12
 
@@ -165,12 +165,15 @@ class LinearModel:
         flat parameters w; Phi is built once, here."""
         Phi = feature_matrix(self.basis, X)
         shape = self.weights.shape
+        Y, expected = np.asarray(Y, dtype=float), (len(Phi), shape[1])
+        if Y.shape != expected:  # checked once, not per batch
+            raise ValidationError(f"shape mismatch: {Y.shape} vs {expected}")
+        pred_grad, penalty_grad = gradient_rule(loss)
 
         def grad(w, rows):
             P = Phi[rows]
-            grad_pred, grad_w = loss_gradient(loss, Y[rows], P @ w.reshape(shape), w)
-            g = (P.T @ grad_pred.reshape(len(P), -1)).ravel()
-            return g if grad_w is None else g + grad_w
+            g = (P.T @ pred_grad(P @ w.reshape(shape) - Y[rows], len(P))).ravel()
+            return g if penalty_grad is None else g + penalty_grad(w)
 
         def cost(w):
             return loss_value(loss, Y, Phi @ w.reshape(shape), w)

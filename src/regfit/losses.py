@@ -176,25 +176,14 @@ def loss_value(spec: LossSpec, y_true, y_pred, w=None) -> float:
     raise ValidationError(f"unknown loss spec {spec!r}")
 
 
-def loss_gradient(spec: LossSpec, y_true, y_pred, w=None):
-    """Gradient of the loss with respect to the predictions, and the penalty
-    gradient with respect to w (None when spec carries no penalty).
-
-    MSE: (2/n_p)(y_pred - y_true). Huber: the clipped derivative, saturating
-    at +-delta. Epsilon-insensitive: the subgradient, 0 inside the tube and
-    at the kink, +-1 outside (all divided by n_p). The l1 penalty subgradient
-    is alpha * sign(w), 0 at 0.
-    """
-    pred, penalty = gradient_rule(spec)
-    a, b = _check_shapes(y_true, y_pred)
-    grad_w = None if penalty is None or w is None else penalty(np.asarray(w, dtype=float))
-    return pred(b - a, a.shape[0]), grad_w
-
-
 def gradient_rule(spec: LossSpec):
-    """``loss_gradient`` resolved once for a spec, without its shape checks:
-    ``pred(e, n)``, the gradient from the residual e = y_pred - y_true of n
-    rows, and ``penalty(w)`` on a float array (None without a penalty)."""
+    """The loss gradient resolved once for a spec, with no shape checks:
+    ``pred(e, n)``, the gradient in the predictions from the residual
+    e = y_pred - y_true of n rows, and ``penalty(w)``, the penalty gradient at
+    a float array w (None without a penalty). MSE: (2/n)e. Huber: the clipped
+    derivative, saturating at +-delta. Epsilon-insensitive: the subgradient,
+    0 inside the tube and at the kink, +-1 outside (all divided by n). l1:
+    the subgradient alpha * sign(w), 0 at 0."""
     if isinstance(spec, Penalized):
         pred = gradient_rule(spec.base)[0]
         if spec.norm == "l2":

@@ -9,8 +9,8 @@ A network is its flat parameter vector, layer by layer, weights before
 biases: [W(2).ravel(), b(2), W(3).ravel(), b(3), ...]; ``MLP.weights`` and
 ``MLP.biases`` are read-only views into it. ``_sweep`` is the one
 forward/backward sweep at such a vector: ``forward``, the gradients of
-``MLP.flat_objective`` (what ``optim.minibatch_train`` trains on) and
-``backprop``, and ``physics.pinn_train`` all run it.
+``MLP.flat_objective`` (what ``optim.minibatch_train`` trains on and
+``optim.model_gradient`` evaluates) and ``physics.pinn_train`` all run it.
 
 ``_sweep`` follows a plan built once per network shape (``_layer_plan``) and
 writes the gradient into one vector; ``flat_objective`` resolves the loss
@@ -41,14 +41,6 @@ ACTIVATIONS = {
 def _check_activation(kind) -> None:
     if not isinstance(kind, str) or kind not in ACTIVATIONS:
         raise ValidationError(f"unknown activation {kind!r}")
-
-
-def activation(kind: str, z):
-    """Return (value, derivative) of the named activation, element-wise."""
-    _check_activation(kind)
-    value, derivative = ACTIVATIONS[kind]
-    y = value(np.asarray(z, dtype=float))
-    return y, np.ones_like(y) if derivative is None else derivative(y)
 
 
 @dataclass(frozen=True)
@@ -94,10 +86,10 @@ class MLP:
         return flatten_params(self)
 
     def with_params(self, w) -> "MLP":
-        return unflatten_params(self, w)
+        return MLP(self.layer_sizes, w, self.activations)
 
     def flat_objective(self, X, Y, loss: LossSpec):
-        """``grad(w, rows)``, the ``backprop`` gradient of the loss on rows
+        """``grad(w, rows)``, the reverse-mode gradient of the loss on rows
         ``rows`` of (X, Y), and ``cost(w)``, the loss on all rows, at flat
         parameters w; both run ``_sweep``, without building a network. Only
         ``grad`` refuses the epsilon-insensitive loss."""
@@ -174,11 +166,6 @@ def flatten_params(net: MLP) -> np.ndarray:
     return net.params.copy()
 
 
-def unflatten_params(net: MLP, w) -> MLP:
-    """A network of net's shape with the flat parameters w."""
-    return MLP(net.layer_sizes, w, net.activations)
-
-
 def _check_width(sizes, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != sizes[0]:
@@ -230,13 +217,3 @@ def _backward(plan, Ws, ys: list, out_grad) -> np.ndarray:
             G = D @ Ws[i]
     return g
 
-
-def backprop(net: MLP, X, y_true, loss: LossSpec) -> np.ndarray:
-    """Exact gradient of the scalar loss with respect to the flat parameters.
-
-    The loss must be differentiable in the predictions: the
-    epsilon-insensitive variant is refused. This is ``MLP.flat_objective``'s
-    gradient on every row, at the network's own parameters.
-    """
-    grad, _ = net.flat_objective(X, y_true, loss)
-    return grad(net.params, slice(None))

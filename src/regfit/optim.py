@@ -176,7 +176,7 @@ def _objective(model, X, Y, loss: LossSpec):
 def model_gradient(model, X, Y, loss: LossSpec) -> np.ndarray:
     """The gradient of the model's ``flat_objective`` on every row of (X, Y)
     at its own parameters: the loss gradient chained with dy/dw (Phi for a
-    linear model, backprop for a network)."""
+    linear model, the reverse-mode sweep for a network)."""
     grad, _ = _objective(model, X, Y, loss)
     return grad(model.get_params(), slice(None))
 
@@ -231,20 +231,16 @@ def train(w0, grad_fn, cost_fn, opt: OptimizerState, sched: BatchSchedule,
 
 
 def minibatch_train(model, d: Dataset, loss: LossSpec, opt: OptimizerState,
-                    sched: BatchSchedule, grad_fn=None) -> tuple:
+                    sched: BatchSchedule) -> tuple:
     """Mini-batch training with ``train`` on the model's ``flat_objective``;
     returns (model, per-epoch loss history). The model is built once, at the
     end. An aborted run returns the last finite model and a history shorter
-    than the schedule's epochs. ``grad_fn(model, X_batch, Y_batch) -> flat
-    gradient`` replaces the objective's gradient, not its cost.
+    than the schedule's epochs.
     """
     if sched.batch_size > d.n_points:
         raise ValidationError(
             f"batch size {sched.batch_size} exceeds dataset size {d.n_points}"
         )
-    X, Y = d.inputs, d.targets
-    grad, cost = _objective(model, X, Y, loss)
-    if grad_fn is not None:
-        grad = lambda w, rows: grad_fn(model.with_params(w), X[rows], Y[rows])
+    grad, cost = _objective(model, d.inputs, d.targets, loss)
     result = train(model.get_params(), grad, cost, opt, sched, d.n_points)
     return model.with_params(result.w), result.history

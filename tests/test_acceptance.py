@@ -65,15 +65,15 @@ def test_criterion_04_backprop_gradient_check():
         X = rng.standard_normal((8, sizes[0]))
         Y = rng.standard_normal((8, sizes[-1]))
         w0 = network.flatten_params(net)
-        g = network.backprop(net, X, Y, losses.MSE())
+        g = optim.model_gradient(net, X, Y, losses.MSE())
         h = 1e-6
         num = np.zeros_like(w0)
         for i in range(w0.size):
             wp, wm = w0.copy(), w0.copy()
             wp[i] += h
             wm[i] -= h
-            jp = losses.mse(Y, network.unflatten_params(net, wp).predict(X))
-            jm = losses.mse(Y, network.unflatten_params(net, wm).predict(X))
+            jp = losses.mse(Y, net.with_params(wp).predict(X))
+            jm = losses.mse(Y, net.with_params(wm).predict(X))
             num[i] = (jp - jm) / (2 * h)
         return np.max(np.abs(g - num)) / max(np.max(np.abs(num)), 1e-12)
 
@@ -109,15 +109,16 @@ def test_criterion_06_adam_first_step_and_momentum_replay():
 
 def test_criterion_07_minibatch_bookkeeping_and_adam_vs_closed_form():
     d_big = Dataset(np.linspace(0, 1, 1000)[:, None], np.zeros((1000, 1)))
-    steps = []
-
-    def counting(m, Xb, Yb):
-        steps.append(1)
-        return optim.model_gradient(m, Xb, Yb, losses.MSE())
-
     m0 = linear.LinearModel(linear.Polynomial(1), np.zeros((2, 1)))
-    optim.minibatch_train(m0, d_big, losses.MSE(), optim.GD(1e-3),
-                          optim.BatchSchedule(100, 1, 0), counting)
+    grad, cost = m0.flat_objective(d_big.inputs, d_big.targets, losses.MSE())
+    sizes = []
+
+    def counting(w, rows):
+        sizes.append(len(rows))
+        return grad(w, rows)
+
+    steps = optim.train(m0.get_params(), counting, cost, optim.GD(1e-3),
+                        optim.BatchSchedule(100, 1, 0), d_big.n_points).steps
 
     x = np.linspace(-1, 1, 200)[:, None]
     d = Dataset(x, 2.0 * x - 1.0)
@@ -125,8 +126,9 @@ def test_criterion_07_minibatch_bookkeeping_and_adam_vs_closed_form():
     trained, _ = optim.minibatch_train(m0, d, losses.MSE(), optim.Adam(eta=0.01),
                                        optim.BatchSchedule(50, 2000, 0))
     diff = float(np.max(np.abs(trained.get_params() - w_ls)))
-    ok = len(steps) == 10 and diff < 1e-4
-    report(7, f"n=1000/batch=100 gives {len(steps)} steps per epoch (want 10); "
+    ok = steps == len(sizes) == 10 and sizes == [100] * 10 and diff < 1e-4
+    report(7, f"n=1000/batch=100 gives {steps} steps of {set(sizes)} rows per epoch "
+              f"(want 10 of 100); "
               f"Adam vs closed-form least squares: max weight diff {diff:.2e} < 1e-4", ok)
 
 

@@ -77,45 +77,6 @@ def test_dataset_invariants():
         d.inputs[0, 0] = 9.0  # read-only storage
 
 
-def _toy(n):
-    x = np.arange(n, dtype=float)[:, None]
-    return data.Dataset(x, 2 * x)
-
-
-def test_split_sizes_round():
-    # round(0.3 * 60) = 18 by hand
-    train, test = data.train_test_split(_toy(60), 0.3, seed=0)
-    assert train.n_points == 42
-    assert test.n_points == 18
-
-
-def test_split_zero_fraction_identity():
-    train, test = data.train_test_split(_toy(10), 0.0, seed=0)
-    assert test is None
-    np.testing.assert_array_equal(train.inputs, _toy(10).inputs)
-
-
-def test_split_determinism():
-    a_train, a_test = data.split_indices(37, 0.25, seed=7)
-    b_train, b_test = data.split_indices(37, 0.25, seed=7)
-    np.testing.assert_array_equal(a_train, b_train)
-    np.testing.assert_array_equal(a_test, b_test)
-
-
-def test_split_empty_train_rejected():
-    with pytest.raises(ValidationError):
-        data.train_test_split(_toy(4), 0.9, seed=0)  # round(3.6) = 4
-
-
-def test_split_partition_property():
-    for seed in range(10):
-        n = 20 + seed
-        train, test = data.split_indices(n, 0.3, seed=seed)
-        assert train.size + test.size == n
-        assert np.intersect1d(train, test).size == 0
-        np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
-
-
 class TestGenerator:
     def test_no_samples_in_gap(self):
         d = data.generate_fig2_like(60, seed=42)

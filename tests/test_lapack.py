@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import lapack
 
-from regfit import _lapack
+from regfit import _lapack, cli
+from regfit.errors import ValidationError
 
 EPS = np.finfo(float).eps
 
@@ -113,12 +114,30 @@ def test_an_argument_lapack_refuses_raises(capfd):
     capfd.readouterr()
 
 
-def test_a_missing_routine_is_an_import_error_that_names_it(monkeypatch):
+def _without_a_routine(monkeypatch):
     monkeypatch.setattr(_lapack, "_bound", {})
     monkeypatch.setattr(_lapack, "_SIGNATURES", {**_lapack._SIGNATURES, "dnosuch": "o"})
-    with pytest.raises(ImportError, match="no dnosuch .symbol scipy_dnosuch_64_."):
+
+
+def test_a_missing_routine_is_a_validation_error_that_names_it(monkeypatch):
+    _without_a_routine(monkeypatch)
+    with pytest.raises(ValidationError, match="no dnosuch .symbol scipy_dnosuch_64_; "
+                                              "numpy reports BLAS "):
         _lapack.dpftrf(1, np.ones(1))
     assert _lapack._bound == {}  # all or nothing: the next call looks again
+
+
+def test_fit_gpr_without_a_routine_exits_1_with_one_error_line(monkeypatch, tmp_path, capsys):
+    assert cli.main(["gen-data", "--n-points", "20", "--output", str(tmp_path / "data")]) == 0
+    _without_a_routine(monkeypatch)
+    capsys.readouterr()
+    out = tmp_path / "gpr"
+    code = cli.main(["fit", "--model", "gpr", "--input", str(tmp_path / "data" / "data.csv"),
+                     "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err and not out.exists()
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "dnosuch" in errors[0]
 
 
 def test_the_factor_of_a_matrix_that_is_not_positive_definite_reports_its_minor():

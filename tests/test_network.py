@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regfit import losses, network
+from regfit import losses, network, optim
 from regfit.errors import ValidationError
 
 
@@ -18,15 +18,15 @@ def gradcheck_error(sizes, seed, loss=losses.MSE(), activations=None):
     X = rng.standard_normal((8, sizes[0]))
     Y = rng.standard_normal((8, sizes[-1]))
     w0 = network.flatten_params(net)
-    g = network.backprop(net, X, Y, loss)
+    g = optim.model_gradient(net, X, Y, loss)
     h = 1e-6
     num = np.zeros_like(w0)
     for i in range(w0.size):
         wp, wm = w0.copy(), w0.copy()
         wp[i] += h
         wm[i] -= h
-        jp = losses.loss_value(loss, Y, network.unflatten_params(net, wp).predict(X), wp)
-        jm = losses.loss_value(loss, Y, network.unflatten_params(net, wm).predict(X), wm)
+        jp = losses.loss_value(loss, Y, net.with_params(wp).predict(X), wp)
+        jm = losses.loss_value(loss, Y, net.with_params(wm).predict(X), wm)
         num[i] = (jp - jm) / (2 * h)
     return np.max(np.abs(g - num)) / max(np.max(np.abs(num)), 1e-12)
 
@@ -73,17 +73,17 @@ def test_weights_and_biases_are_read_only_views_of_params():
 
 
 def test_activation_values():
-    v, _ = network.activation("tanh", 0.0)
-    assert v == 0.0
-    v, d = network.activation("relu", -1.0)
-    assert v == 0.0 and d == 0.0
-    _, d0 = network.activation("relu", 0.0)
-    assert d0 == 0.0  # derivative at the kink is defined as 0
+    tanh, relu = network.ACTIVATIONS["tanh"], network.ACTIVATIONS["relu"]
+    assert tanh[0](0.0) == 0.0
+    v = relu[0](-1.0)
+    assert v == 0.0 and relu[1](v) == 0.0
+    assert relu[1](relu[0](0.0)) == 0.0  # derivative at the kink is defined as 0
 
 
 def test_tanh_derivative_matches_finite_differences():
     z = np.linspace(-3, 3, 41)
-    _, d = network.activation("tanh", z)
+    value, derivative = network.ACTIVATIONS["tanh"]
+    d = derivative(value(z))
     h = 1e-6
     num = (np.tanh(z + h) - np.tanh(z - h)) / (2 * h)
     np.testing.assert_allclose(d, num, atol=1e-8)
@@ -108,12 +108,12 @@ class TestFlattening:
         for seed in range(3):
             net = network.init_mlp([2, 3, 2], seed=seed)
             w = network.flatten_params(net)
-            back = network.flatten_params(network.unflatten_params(net, w))
+            back = network.flatten_params(net.with_params(w))
             np.testing.assert_array_equal(back, w)
 
     def test_zero_vector_gives_zero_net(self):
         net = network.init_mlp([1, 2, 1], seed=0)
-        z = network.unflatten_params(net, np.zeros(network.param_count(net)))
+        z = net.with_params(np.zeros(network.param_count(net)))
         assert all(np.all(W == 0) for W in z.weights)
         assert all(np.all(b == 0) for b in z.biases)
 
@@ -123,7 +123,7 @@ class TestFlattening:
         for i in range(w.size):
             w2 = w.copy()
             w2[i] += 1.0
-            other = network.unflatten_params(net, w2)
+            other = net.with_params(w2)
             changed = sum(
                 int(np.sum(a != b))
                 for a, b in zip(
@@ -136,7 +136,7 @@ class TestFlattening:
     def test_wrong_length_rejected(self):
         net = network.init_mlp([1, 2, 1], seed=0)
         with pytest.raises(ValidationError):
-            network.unflatten_params(net, np.zeros(3))
+            net.with_params(np.zeros(3))
 
 
 class TestBackprop:
@@ -144,7 +144,7 @@ class TestBackprop:
         net = network.init_mlp([1, 3, 1], seed=2)
         X = np.linspace(-1, 1, 7)[:, None]
         Y = net.predict(X)  # targets the net reproduces exactly
-        g = network.backprop(net, X, Y, losses.MSE())
+        g = optim.model_gradient(net, X, Y, losses.MSE())
         assert np.linalg.norm(g) < 1e-12
 
     @pytest.mark.parametrize("sizes", [[1, 2, 3, 1], [2, 4, 4, 1], [1, 8, 1]])
@@ -176,7 +176,7 @@ class TestBackprop:
 
         monkeypatch.setattr(network, "_sweep", counting_sweep)
         net = network.init_mlp([2, 3, 1], seed=1)
-        network.backprop(net, np.ones((4, 2)), np.zeros((4, 1)), losses.MSE())
+        optim.model_gradient(net, np.ones((4, 2)), np.zeros((4, 1)), losses.MSE())
         assert len(calls) == 1
 
     def test_loss_scaling_scales_gradient(self):
@@ -185,14 +185,14 @@ class TestBackprop:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((5, 1))
         Y = rng.standard_normal((5, 1))
-        g1 = network.backprop(net, X, Y, losses.MSE())
-        g2 = network.backprop(net, X, Y, losses.WeightedMSE(0.5 * np.eye(5)))
+        g1 = optim.model_gradient(net, X, Y, losses.MSE())
+        g2 = optim.model_gradient(net, X, Y, losses.WeightedMSE(0.5 * np.eye(5)))
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
 
     def test_eps_insensitive_refused(self):
         net = network.init_mlp([1, 2, 1], seed=0)
         with pytest.raises(ValidationError):
-            network.backprop(net, [[0.0]], [[0.0]], losses.EpsilonInsensitive(0.1))
+            optim.model_gradient(net, [[0.0]], [[0.0]], losses.EpsilonInsensitive(0.1))
 
 
 def test_forward_is_rowwise_independent():

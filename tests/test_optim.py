@@ -140,17 +140,27 @@ def _line_data(n=200):
 
 def test_minibatch_steps_per_epoch():
     d = Dataset(np.linspace(0, 1, 1000)[:, None], np.zeros((1000, 1)))
+    m0 = linear.LinearModel(linear.Polynomial(1), np.zeros((2, 1)))
+    grad, cost = m0.flat_objective(d.inputs, d.targets, losses.MSE())
     calls = []
 
-    def counting(m, Xb, Yb):
-        calls.append(Xb.shape[0])
-        return optim.model_gradient(m, Xb, Yb, losses.MSE())
+    def counting(w, rows):
+        calls.append(len(rows))
+        return grad(w, rows)
 
-    m0 = linear.LinearModel(linear.Polynomial(1), np.zeros((2, 1)))
-    optim.minibatch_train(m0, d, losses.MSE(), optim.GD(1e-3),
-                          optim.BatchSchedule(100, 1, 0), counting)
-    assert len(calls) == 10
+    result = optim.train(m0.get_params(), counting, cost, optim.GD(1e-3),
+                         optim.BatchSchedule(100, 1, 0), d.n_points)
+    assert result.steps == len(calls) == 10
     assert all(size == 100 for size in calls)
+
+
+def test_a_linear_model_refuses_targets_of_another_width():
+    d = Dataset(np.linspace(0, 1, 10)[:, None], np.zeros((10, 2)))
+    m0 = linear.LinearModel(linear.Polynomial(1), np.zeros((2, 1)))
+    with pytest.raises(ValidationError, match=r"shape mismatch: \(10, 2\) vs \(10, 1\)"):
+        optim.minibatch_train(m0, d, losses.MSE(), optim.GD(), optim.BatchSchedule(5, 1, 0))
+    with pytest.raises(ValidationError, match=r"shape mismatch: \(10, 2\) vs \(10, 1\)"):
+        optim.model_gradient(m0, d.inputs, d.targets, losses.MSE())
 
 
 def test_linear_gradient_builds_one_feature_matrix(monkeypatch):
@@ -168,7 +178,8 @@ def test_linear_gradient_builds_one_feature_matrix(monkeypatch):
     g = optim.model_gradient(m, d.inputs, d.targets, losses.Huber(0.3))
     assert len(calls) == 1
     Phi = original(m.basis, d.inputs)
-    grad_pred, _ = losses.loss_gradient(losses.Huber(0.3), d.targets, m.predict(d.inputs))
+    huber_grad = losses.gradient_rule(losses.Huber(0.3))[0]
+    grad_pred = huber_grad(m.predict(d.inputs) - d.targets, d.n_points)
     np.testing.assert_array_equal(g, (Phi.T @ grad_pred).ravel())
 
 

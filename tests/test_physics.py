@@ -271,9 +271,9 @@ class TestPinn:
             wp, wm = w0.copy(), w0.copy()
             wp[i] += h
             wm[i] -= h
-            jp = physics.pinn_cost(network.unflatten_params(net, wp), poisson_problem,
+            jp = physics.pinn_cost(net.with_params(wp), poisson_problem,
                                    None, 1.0, fd_step)
-            jm = physics.pinn_cost(network.unflatten_params(net, wm), poisson_problem,
+            jm = physics.pinn_cost(net.with_params(wm), poisson_problem,
                                    None, 1.0, fd_step)
             num[i] = (jp - jm) / (2 * h)
         assert np.max(np.abs(g - num)) / np.max(np.abs(num)) < 1e-6
@@ -321,9 +321,9 @@ def test_training_gradient_matches_central_differences_of_pinn_cost(
         wp, wm = w0.copy(), w0.copy()
         wp[i] += h
         wm[i] -= h
-        jp = physics.pinn_cost(network.unflatten_params(net, wp), problem, data,
+        jp = physics.pinn_cost(net.with_params(wp), problem, data,
                                alpha_phys, fd_step)
-        jm = physics.pinn_cost(network.unflatten_params(net, wm), problem, data,
+        jm = physics.pinn_cost(net.with_params(wm), problem, data,
                                alpha_phys, fd_step)
         num[i] = (jp - jm) / (2 * h)
     # tolerance: 1e-6 of the largest entry (at least 1); the worst seen in

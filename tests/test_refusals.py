@@ -98,7 +98,7 @@ REFUSALS = [
     _row("loss-value-unknown-spec", lambda: losses.loss_value("mse", [1.0], [1.0]), V,
          "unknown loss spec 'mse'"),
     # network and optim
-    _row("unknown-activation", lambda: network.activation("swish", 1.0), V,
+    _row("unknown-activation", lambda: network.init_mlp([1, 1], ["swish"]), V,
          "unknown activation 'swish'"),
     _row("activation-count", lambda: network.MLP((1, 2, 1), np.zeros(7), ("tanh",)), V,
          "one activation per layer"),
@@ -130,8 +130,6 @@ REFUSALS = [
          "at least one member"),
     _row("bootstrap-test-fraction-1",
          lambda: resampling.ridge_bootstrap(_LINE, linear.Polynomial(1), 0.0, 3, 1.0), V,
-         "test_fraction must lie in [0, 1)"),
-    _row("split-test-fraction-1", lambda: data.split_indices(5, 1.0, 0), V,
          "test_fraction must lie in [0, 1)"),
     _row("dataset-1-d", lambda: data.Dataset(np.zeros(3), np.zeros((3, 1))), V,
          "must be 2-D matrices"),

@@ -34,30 +34,11 @@ def _mlp_fit(opt, loss="mse", batch=16):
                                  optim.BatchSchedule(batch, 12, 11))
 
 
-def _linear_custom_gradient():
-    d = _sine_data(40, 4)
-    m0 = linear.LinearModel(linear.Polynomial(3), np.zeros((4, 1)))
-    # a gradient rule other than the loss's own: the Huber gradient under MSE
-    huber = lambda m, Xb, Yb: optim.model_gradient(m, Xb, Yb, losses.Huber(0.2))
-    return optim.minibatch_train(m0, d, losses.MSE(), optim.Momentum(eta=0.01),
-                                 optim.BatchSchedule(12, 15, 2), huber)
-
-
 def _linear_adam():
     d = _sine_data(40, 4)
     m0 = linear.LinearModel(linear.Polynomial(3), np.zeros((4, 1)))
     return optim.minibatch_train(m0, d, losses.parse_loss_spec("ridge:0.01"),
                                  optim.Adam(eta=0.05), optim.BatchSchedule(12, 15, 2))
-
-
-def _mlp_eps_custom_gradient():
-    # the epoch cost is the epsilon-insensitive loss, which has no backprop
-    # gradient; the steps follow the Huber gradient instead
-    d = _sine_data(48, 3)
-    net = network.init_mlp([1, 8, 8, 1], seed=5)
-    huber = lambda m, Xb, Yb: optim.model_gradient(m, Xb, Yb, losses.Huber(0.2))
-    return optim.minibatch_train(net, d, losses.EpsilonInsensitive(0.1), optim.Adam(eta=0.01),
-                                 optim.BatchSchedule(16, 12, 11), huber)
 
 
 def _mlp_cli_defaults():
@@ -119,9 +100,7 @@ CASES = {
     "mlp-short-last-batch": lambda: _mlp_fit(optim.Adam(eta=0.01), batch=10),
     "mlp-huber": lambda: _mlp_fit(optim.Adam(eta=0.01), "huber:0.5"),
     "mlp-ridge": lambda: _mlp_fit(optim.Adam(eta=0.01), "ridge:0.01"),
-    "linear-custom-gradient": _linear_custom_gradient,
     "linear-adam": _linear_adam,
-    "mlp-eps-custom-gradient": _mlp_eps_custom_gradient,
     "mlp-cli-defaults": _mlp_cli_defaults,
     "pinn-dirichlet": lambda: _pinn_fit(POISSON),
     "pinn-neumann-poly": lambda: _pinn_fit(NEUMANN_POLY),
@@ -133,10 +112,6 @@ CASES = {
 PINS = {
     "linear-adam": ("59c62de0878e5d063d8c99eafdce7290a09f7a4d0849a191189354e9c9f5c030",
         "634ec55eb240b06f3ab0d629cf03c99751d59378b08510f84b0cf3a7ef616fa0"),
-    "mlp-eps-custom-gradient": ("04ef352f10b73db513af4e7d4b4b0252823266a942b84066efb2b507c2bfc1e3",
-        "3a55fa791908f346ad7845a0abf82d65797751e6a54cc6f97518209eb2230ed7"),
-    "linear-custom-gradient": ("125c1374a2fdf8c5b75e0825220a77976f73d145a2884df88fbac3edd3daa796",
-        "94d299bf2c01c7bcd5cb6208d97483b0b3e9f3886a2a95f75bd7bbeee94cbf3a"),
     "mlp-cli-defaults": ("efa41f167a2d40d75a94aa29ed9a88fad13fcc7d946b986889a24c69aab05bfc",
         "db631c4722ddd3ab11aa9c34110458001c3893bd2dabbf38c012b594a303eaf7"),
     "mlp-adam": ("c0e3056cdacd6485b8afc15514c4cb8b3b15d21b17ce9146203dc48f256e278f",
