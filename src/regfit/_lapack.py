@@ -1,16 +1,18 @@
-"""Five LAPACK routines from the library numpy.linalg links, through ctypes.
+"""Three LAPACK routines from the library numpy.linalg links, through ctypes,
+and the packed layout they share.
 
 numpy's wheels bundle OpenBLAS built with 64-bit integers, its symbols
 prefixed ``scipy_`` and suffixed ``64_``; its LAPACK has what
-``numpy.linalg`` does not wrap. The kernel models need the Cholesky factor
-of a matrix in rectangular full packed format, ``dpftrf``, with its solves
-``dpftrs`` and ``dtfsm`` and the unpacking ``dtfttr`` (Gustavson,
-Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010); the weighted MSE and
-the Woodbury check solve with a dense Cholesky factor by ``dpotrs``. The
-five names are looked up once, the first time one is called, through the
-handle of ``numpy.linalg._umath_linalg``, which is loaded with numpy, so
-importing regfit loads nothing more. A numpy whose LAPACK lacks one raises
-a ValidationError that names it and the BLAS numpy reports.
+``numpy.linalg`` does not wrap. Every symmetric positive-definite solve in
+regfit (kernel ridge, the GP posterior, the weighted MSE, the Woodbury check)
+keeps the lower triangle of its matrix in rectangular full packed format
+(Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010), built by
+``pack``, and factors it with the packed Cholesky ``dpftrf``, whose factor
+``dpftrs`` and ``dtfsm`` solve with. The three names are looked up once, the
+first time one is called, through the handle of
+``numpy.linalg._umath_linalg``, which is loaded with numpy, so importing
+regfit loads nothing more. A numpy whose LAPACK lacks one raises a
+ValidationError that names it and the BLAS numpy reports.
 
 A packed matrix here is always TRANSR 'N', UPLO 'L': a flat float64 array of
 n (n + 1) / 2 entries. Every other matrix is a Fortran-ordered float64
@@ -33,8 +35,6 @@ _SIGNATURES = {
     "dpftrf": "cciao",         # TRANSR UPLO N A INFO
     "dpftrs": "cciiaaio",      # TRANSR UPLO N NRHS A B LDB INFO
     "dtfsm": "ccccciidaai",    # TRANSR SIDE UPLO TRANS DIAG M N ALPHA A B LDB
-    "dtfttr": "cciaaio",       # TRANSR UPLO N ARF A LDA INFO
-    "dpotrs": "ciiaiaio",      # UPLO N NRHS A LDA B LDB INFO
 }
 _bound: dict = {}
 
@@ -108,6 +108,37 @@ def _check(name: str, what: str, a, shape: tuple, written: bool) -> None:
         raise ValueError(f"{name}: {what} is read-only")
 
 
+def pack(n: int, block, step: int) -> np.ndarray:
+    """The lower triangle of a symmetric n x n matrix A in rectangular full
+    packed format, from ``block(rows, cols)``, which gives A[rows, cols] for
+    two slices: with m = ceil(n / 2), an (n + 1 - n % 2) x m Fortran-ordered
+    array whose rows from 1 - n % 2 hold the lower trapezoid A[:, :m], and
+    whose upper triangle from column n % 2 holds the triangle A[m:, m:]
+    transposed. Both pieces are asked for in row strips of at most ``step``
+    rows and stored transposed, so no n x n array exists unless ``block``
+    holds one."""
+    m = (n + 1) // 2
+    packed = np.empty((n + 1 - n % 2) * m)
+    R = packed.reshape((-1, m), order="F")
+    for j in range(0, m, step):  # a strip's upper corner lands in T's triangle, written next
+        R[1 - n % 2 + j :, j : j + step] = block(slice(j, min(j + step, m)), slice(j, n)).T
+    T = R[:, n % 2 :]  # its upper triangle holds A[m:, m:]
+    for j in range(0, n - m, step):
+        S = block(slice(m + j, m + j + step), slice(m, m + j + step)).T
+        w = S.shape[1]
+        T[:j, j : j + w] = S[:j]
+        np.copyto(T[j : j + w, j : j + w], S[j:], where=np.tri(w, dtype=bool).T)
+    return packed
+
+
+def diagonal(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of A_jj in ``pack``'s layout, j < m and j >= m: column j, row
+    j + 1 - n % 2, and column j - m + n % 2, row j - m; in the flat array both
+    are n + 2 - n % 2 entries apart."""
+    step = n + 2 - n % 2
+    return packed[1 - n % 2 :: step], packed[n % 2 * n :: step]
+
+
 def _packed(name: str, n: int, a, written: bool = False) -> None:
     _check(name, "packed matrix", a, (n * (n + 1) // 2,), written)
 
@@ -135,24 +166,4 @@ def dtfsm(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _packed("dtfsm", n, a)
     _check("dtfsm", "right-hand side", b, (n, None), True)
     _call("dtfsm", "N", "L", "L", "N", "N", n, b.shape[1], 1.0, a, b, max(1, n))
-    return b
-
-
-def dtfttr(n: int, a: np.ndarray) -> np.ndarray:
-    """The packed n x n matrix ``a`` unpacked: its lower triangle in a new
-    Fortran-ordered array, zeros above."""
-    _packed("dtfttr", n, a)
-    full = np.zeros((n, n), order="F")
-    _call("dtfttr", "N", "L", n, a, full, max(1, n))
-    return full
-
-
-def dpotrs(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X with U^T U X = B, for an upper Cholesky factor ``u`` (n x n; only
-    its upper triangle is read) and an n x k ``b``, which X overwrites;
-    returns ``b``. ``np.linalg.cholesky(A).T`` is such a ``u``, with no copy."""
-    _check("dpotrs", "right-hand side", b, (None, None), True)
-    n = b.shape[0]
-    _check("dpotrs", "factor", u, (n, n), False)
-    _call("dpotrs", "U", n, b.shape[1], u, max(1, n), b, max(1, n))
     return b

@@ -20,15 +20,15 @@ holds that packed factor plus one query block or build strip for any q:
 queries go one block of at most ``_BLOCK_BYTES`` of K(block, t) at a time,
 a strip is half of that (a Gaussian kernel on two or more input columns and
 a polynomial kernel build one more array of its size), and finiteness is
-read from min and max (no mask). No n x n array exists unless the
-factorization fails, whose message unpacks the matrix for its smallest
-eigenvalue. Roundoff's tiny negative posterior eigenvalues are clamped to
-zero.
+read from min and max (no mask). No n x n array exists, not even when the
+factorization fails: its message names the order of the first leading minor
+that is not positive-definite, which LAPACK reports. Roundoff's tiny negative
+posterior eigenvalues are clamped to zero.
 
-Kernels use LAPACK's packed Cholesky ``dpftrf`` and its solves ``dpftrs``
-and ``dtfsm``, which ``numpy.linalg`` does not wrap, from the OpenBLAS that
-numpy bundles, through ``regfit._lapack``; that binding looks them up the
-first time a kernel is factored.
+Kernels use ``regfit._lapack``: its ``pack`` lays out the strips, and LAPACK's
+packed Cholesky ``dpftrf`` and its solves ``dpftrs`` and ``dtfsm``, which
+``numpy.linalg`` does not wrap, come from the OpenBLAS that numpy bundles;
+that binding looks them up the first time a kernel is factored.
 
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
@@ -160,35 +160,11 @@ def _block_rows(n: int) -> int:
 
 
 def _packed_kernel(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """The lower triangle of K(X, X) in LAPACK's rectangular full packed format
-    (TRANSR 'N', UPLO 'L'), n (n + 1) / 2 entries: with m = ceil(n / 2), an
-    (n + 1 - n % 2) x m Fortran-ordered array whose rows from 1 - n % 2 hold
-    the lower trapezoid K(X, X[:m]), and whose upper triangle from column n % 2
-    holds the triangle K(X[m:], X[m:]) transposed. Both pieces are built in
-    column strips of half _BLOCK_BYTES, since kernel_matrix may hold one more
-    array of a strip's size; no n x n array exists."""
-    n = len(X)
-    m = (n + 1) // 2
-    packed = np.empty((n + 1 - n % 2) * m)
-    R = packed.reshape((-1, m), order="F")
-    step = max(1, _block_rows(n) // 2)
-    for j in range(0, m, step):  # a strip's upper corner lands in T's triangle, written next
-        R[1 - n % 2 + j :, j : j + step] = kernel_matrix(kernel, X[j : min(j + step, m)], X[j:]).T
-    T = R[:, n % 2 :]  # its upper triangle holds K(X[m:], X[m:])
-    for j in range(0, n - m, step):
-        S = kernel_matrix(kernel, X[m + j : m + j + step], X[m : m + j + step]).T
-        w = S.shape[1]
-        T[:j, j : j + w] = S[:j]
-        np.copyto(T[j : j + w, j : j + w], S[j:], where=np.tri(w, dtype=bool).T)
-    return packed
-
-
-def _packed_diagonal(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of K_jj in _packed_kernel's layout, j < m and j >= m: column j,
-    row j + 1 - n % 2, and column j - m + n % 2, row j - m; in the flat array
-    both are n + 2 - n % 2 entries apart."""
-    step = n + 2 - n % 2
-    return packed[1 - n % 2 :: step], packed[n % 2 * n :: step]
+    """The lower triangle of K(X, X), packed by ``_lapack.pack`` in strips of
+    half _BLOCK_BYTES, since kernel_matrix may hold one more array of a
+    strip's size."""
+    return _lapack.pack(len(X), lambda rows, cols: kernel_matrix(kernel, X[rows], X[cols]),
+                        max(1, _block_rows(len(X)) // 2))
 
 
 def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float) -> np.ndarray:
@@ -199,40 +175,38 @@ def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float) -> np.ndarray:
 def _factor(build, n: int, reg: float) -> np.ndarray:
     """Cholesky (lower, rectangular full packed) of the n x n K + reg I, each
     attempt in place in a fresh packed K = build(); one retry with
-    DIAGONAL_JITTER when reg = 0."""
-    def shifted(shift):
+    DIAGONAL_JITTER when reg = 0. A failure names the shift tried last and
+    the order of the first leading minor that is not positive-definite."""
+    for shift in (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             A = build()
-            for diagonal in _packed_diagonal(A, n):
+            for diagonal in _lapack.diagonal(A, n):
                 diagonal += shift
         if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN propagates
             raise NumericalError(f"kernel matrix plus {shift} I has non-finite entries")
-        return A
-
-    for shift in (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,):
-        A = shifted(shift)
-        if _lapack.dpftrf(n, A) == 0:
+        info = _lapack.dpftrf(n, A)
+        if info == 0:
             return A
-        del A  # a failed attempt goes before the next one is built
-    smallest = float(np.linalg.eigvalsh(_lapack.dtfttr(n, shifted(reg)))[0])
-    raise NumericalError(f"kernel matrix plus {reg} I is not positive-definite "
-                         f"(smallest pivot/eigenvalue {smallest:.3e})")
+        del A, diagonal  # a failed attempt (the view holds it too) goes before the next
+    raise NumericalError(f"kernel matrix plus {shift} I is not positive-definite (Cholesky "
+                         f"pivot {info} fails: its leading minor of order {info} is not)")
 
 
 def woodbury_discrepancy(Phi, alpha: float) -> float:
     """Max-abs difference between the two matrix-inversion-lemma forms
     (Phi^T Phi + a I_b)^-1 Phi^T and Phi^T (Phi Phi^T + a I_n)^-1,
-    each evaluated with its own Cholesky solve."""
+    each evaluated with its own packed Cholesky solve."""
     if not alpha > 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
-    n, b = Phi.shape
 
-    def solve(A, B):
-        return _lapack.dpotrs(np.linalg.cholesky(A).T, np.array(B, order="F"))
+    def solve(G, B):  # (G + alpha I)^-1 B
+        k = len(G)
+        L = _factor(lambda: _lapack.pack(k, lambda rows, cols: G[rows, cols], k), k, alpha)
+        return _lapack.dpftrs(k, L, np.array(B, order="F"))
 
-    primal = solve(Phi.T @ Phi + alpha * np.eye(b), Phi.T)
-    dual = solve(Phi @ Phi.T + alpha * np.eye(n), Phi).T
+    primal = solve(Phi.T @ Phi, Phi.T)
+    dual = solve(Phi @ Phi.T, Phi).T
     return float(np.max(np.abs(primal - dual)))
 
 
@@ -321,6 +295,9 @@ class KernelModel:
     def __post_init__(self):
         if self.kind not in _REGULARIZER_KEYS:
             raise ValidationError(f"kernel model kind must be krr or gpr, got {self.kind!r}")
+        if not self.regularizer >= 0:
+            raise ValidationError(f"model {self.kind!r} key {_REGULARIZER_KEYS[self.kind]!r} "
+                                  f"must be nonnegative, got {self.regularizer}")
         X = np.atleast_2d(np.array(self.train_inputs, dtype=float, copy=True))
         A = np.array(self.dual_coef, dtype=float, copy=True)
         if A.ndim == 1:

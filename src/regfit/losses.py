@@ -24,9 +24,10 @@ class MSE:
 @dataclass(frozen=True)
 class WeightedMSE:
     """Quadratic form weighted by the inverse of a SPD covariance matrix. The
-    spec keeps the covariance's Cholesky factor (``np.linalg.cholesky``, which
-    also proves it positive-definite), so each value is one LAPACK ``dpotrs``
-    solve (through ``regfit._lapack``)."""
+    spec keeps the covariance's packed Cholesky factor (``regfit._lapack``'s
+    ``pack`` and ``dpftrf``, which also proves it positive-definite, or names
+    the first leading minor that is not), so each value is one LAPACK
+    ``dpftrs`` solve."""
 
     covariance: np.ndarray
 
@@ -40,12 +41,13 @@ class WeightedMSE:
             raise ValidationError("covariance must be symmetric")
         S.setflags(write=False)
         object.__setattr__(self, "covariance", S)
-        # positive definiteness is verified by factorization, not eigenvalues
-        try:
-            U = np.linalg.cholesky(S).T  # Fortran-ordered, as dpotrs takes it
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"covariance is not positive-definite: {exc}") from exc
-        object.__setattr__(self, "_chol", U)
+        n = len(S)
+        L = _lapack.pack(n, lambda rows, cols: S[rows, cols], n)
+        info = _lapack.dpftrf(n, L)
+        if info:
+            raise NumericalError(f"covariance is not positive-definite (Cholesky pivot "
+                                 f"{info} fails: its leading minor of order {info} is not)")
+        object.__setattr__(self, "_chol", L)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def _solve_residual(spec: WeightedMSE, e: np.ndarray) -> np.ndarray:
     n = spec.covariance.shape[0]
     if e.shape[0] != n:
         raise ValidationError(f"covariance is {n}x{n}, residual has {e.shape[0]} rows")
-    return _lapack.dpotrs(spec._chol, np.array(e, order="F"))
+    return _lapack.dpftrs(n, spec._chol, np.array(e, order="F"))
 
 
 def huber(e, delta: float) -> float:

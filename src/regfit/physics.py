@@ -80,9 +80,15 @@ class CollocationProblem:
         bcs = tuple(self.boundary)
         if not bcs:
             raise ValidationError("at least one boundary condition is required")
+        for i, bc in enumerate(bcs):
+            if not lo <= bc.location <= hi:
+                raise ValidationError(f"boundary condition {i} key 'location' {bc.location} "
+                                      f"lies outside the domain [{lo}, {hi}]")
         pts = self.collocation_points
         if pts is not None:
             pts = np.array(pts, dtype=float, copy=True).ravel()
+            if not pts.size:
+                raise ValidationError("'collocation_points' must hold at least one point")
             if not ((pts > lo) & (pts < hi)).all():
                 raise ValidationError("collocation points must lie strictly inside the domain")
             pts.setflags(write=False)
@@ -516,6 +522,8 @@ def problem_from_dict(doc: dict) -> CollocationProblem:
         pts = as_number_array(pts, "problem key 'collocation_points'")
     elif "n_collocation" in doc:
         n = as_integer(doc["n_collocation"], "problem key 'n_collocation'")
+        if n < 1:
+            raise ValidationError(f"problem key 'n_collocation' must be at least 1, got {n}")
         pts = np.linspace(lo, hi, n + 2)[1:-1]
     return CollocationProblem(
         a=coefficient_from_spec(doc.get("a", 1.0), "a"),

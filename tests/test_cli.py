@@ -284,9 +284,16 @@ class TestBadFilesAndArguments:
           "params": [0.0, 0.0]}, "'activations'"),
         ({"kind": "linear_ensemble", "basis": {"type": "polynomial", "degree": 1},
           "weight_population": [[0.0, 1.0]], "j_i_mean": 0.0}, "'weight_population'"),
+        # no fit gives a negative regularizer: predict would fail or answer from it
+        ({"kind": "gpr", "kernel": {"type": "gaussian", "gamma": 1.0},
+          "train_inputs": [[0.0]], "dual_coefficients": [[0.0]], "noise_variance": -1},
+         "'noise_variance'"),
+        ({"kind": "krr", "kernel": {"type": "gaussian", "gamma": 1.0},
+          "train_inputs": [[0.0]], "dual_coefficients": [[0.0]], "regularizer": -1},
+         "'regularizer'"),
     ], ids=["linear-without-basis", "gpr-without-kernel", "json-list", "gamma-string",
             "degree-string", "layer-sizes-string", "weights-nan", "activations-string",
-            "ensemble-rows-not-basis-size"])
+            "ensemble-rows-not-basis-size", "gpr-negative-noise", "krr-negative-regularizer"])
     def test_bad_model_file(self, data_csv, tmp_path, capsys, doc, key):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
@@ -303,12 +310,27 @@ class TestBadFilesAndArguments:
         ({"domain": [0.0, 1.0],
           "boundary": [{"location": "left", "kind": "dirichlet", "value": 0.0}]},
          "'location'"),
-    ], ids=["no-boundary", "coefficient-string", "n-collocation-string", "location-string"])
+        ({"domain": [0.0, 1.0], "n_collocation": 0,
+          "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0}]},
+         "'n_collocation'"),
+        ({"domain": [0.0, 1.0], "n_collocation": -3,
+          "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0}]},
+         "'n_collocation'"),
+        ({"domain": [0.0, 1.0], "collocation_points": [],
+          "boundary": [{"location": 0.0, "kind": "dirichlet", "value": 0.0}]},
+         "'collocation_points'"),
+        ({"domain": [0.0, 1.0],
+          "boundary": [{"location": 5.0, "kind": "dirichlet", "value": 0.0}]},
+         "'location'"),
+    ], ids=["no-boundary", "coefficient-string", "n-collocation-string", "location-string",
+            "n-collocation-0", "n-collocation-negative", "collocation-points-empty",
+            "location-outside-domain"])
     def test_bad_problem_file(self, tmp_path, capsys, doc, key):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(doc))
         self._fails(["pde-solve", "--problem", problem, "--output", tmp_path / "o"],
                     capsys, "problem.json", key)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("stats, columns, needle", [
         ({"mean": [0.0, 0.0], "std": [1.0, 1.0]}, 3, "cover 2 input columns, but --input has 3"),

@@ -254,7 +254,10 @@ class TestGPR:
 
     def test_factorization_failure_reports_pivot(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(NumericalError, match="pivot"):
+        # the retry's shift is the one reported, with LAPACK's own pivot
+        info = lapack.dpftrf(2, _packed(indefinite + kernels.DIAGONAL_JITTER * np.eye(2)),
+                             uplo="L")[1]
+        with pytest.raises(NumericalError, match=rf"plus 1e-10 I .*pivot {info} .*order {info}\b"):
             kernels._factor(lambda: _packed(indefinite), 2, 0.0)
 
     def test_jitter_retry_factors_k_plus_jitter(self):
@@ -266,7 +269,9 @@ class TestGPR:
 
     def test_non_pd_error_names_smallest_eigenvalue(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NumericalError, match=r"plus 0\.5 I .*eigenvalue -5\.000e-01"):
+        info = lapack.dpftrf(2, _packed(indefinite + 0.5 * np.eye(2)), uplo="L")[1]
+        assert info == 2  # eigenvalue -0.5: the 2 x 2 minor is the first that fails
+        with pytest.raises(NumericalError, match=rf"plus 0\.5 I .*order {info}\b"):
             kernels._factor(lambda: _packed(indefinite), 2, 0.5)
         np.testing.assert_array_equal(indefinite, [[1.0, 2.0], [2.0, 1.0]])
 
@@ -285,6 +290,22 @@ class TestGPR:
         np.testing.assert_array_equal(L, expected)
         # the copy that becomes the factor, plus O(n) for the diagonal shift;
         # the finiteness test reads min and max and builds no mask
+        assert peak < P.nbytes + 64 * len(K), f"peak {peak} B, packed K {P.nbytes} B"
+
+    def test_a_failed_factorization_holds_one_packed_copy(self):
+        X = np.random.default_rng(16).uniform(-2, 2, (400, 1))
+        K = kernels.kernel_matrix(kernels.GaussianKernel(4.0), X, X) + 1e-2 * np.eye(400)
+        K[299, 299] -= 2.0  # a negative pivot at order 300, with or without jitter
+        P = _packed(K)
+        assert lapack.dpftrf(400, P, uplo="L")[1] == 300
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match=r"plus 1e-10 I .*order 300\b"):
+                kernels._factor(P.copy, 400, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each attempt's copy goes before the next; the message unpacks nothing
         assert peak < P.nbytes + 64 * len(K), f"peak {peak} B, packed K {P.nbytes} B"
 
     def test_fitted_model_round_trip(self):
@@ -368,7 +389,7 @@ def test_packed_kernel_is_the_lower_triangle_of_k_plus_reg_i(data, n, width, str
     with pytest.MonkeyPatch.context() as mp:  # strips of `strip` columns: 16 n strip bytes
         mp.setattr(kernels, "_BLOCK_BYTES", 16 * n * strip)
         P = kernels._packed_kernel(spec, X)
-    for diagonal in kernels._packed_diagonal(P, n):
+    for diagonal in _lapack.diagonal(P, n):
         diagonal += reg
     expected = np.tril(kernels.kernel_matrix(spec, X, X) + reg * np.eye(n))
     if isinstance(spec, kernels.GaussianKernel) or width == 1:  # elementwise: the same bits

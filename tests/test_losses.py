@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regfit import losses
+from regfit import _lapack, losses
 from regfit.data import Dataset
 from regfit.errors import NumericalError, ValidationError
 from regfit.linear import Polynomial, ridge_fit
@@ -51,8 +51,10 @@ class TestWeightedMSE:
         assert losses.weighted_mse(y, y, np.eye(3)) == 0.0
 
     def test_non_pd_rejected(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"leading minor of order 2\b"):
             losses.weighted_mse(np.zeros(2), np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NumericalError, match=r"leading minor of order 3\b"):
+            losses.WeightedMSE(np.diag([1.0, 2.0, -1.0]))
 
     def test_a_prebuilt_spec_reuses_its_factor(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -64,8 +66,8 @@ class TestWeightedMSE:
         def refactor(*_args, **_kwargs):
             raise AssertionError("covariance factored again")
 
-        for name in ("cholesky", "solve"):
-            monkeypatch.setattr(np.linalg, name, refactor)
+        for name in ("pack", "dpftrf"):
+            monkeypatch.setattr(_lapack, name, refactor)
         assert losses.weighted_mse(y, yh, spec) == expected
         assert losses.gradient_rule(spec)[0](yh - y, 5).shape == (5, 1)
 
