@@ -1,15 +1,17 @@
 """Three LAPACK routines from the library numpy.linalg links, through ctypes,
-and the packed layout they share.
+and ``cholesky``, the one door through which regfit factors a matrix.
 
 numpy's wheels bundle OpenBLAS built with 64-bit integers, its symbols
 prefixed ``scipy_`` and suffixed ``64_``; its LAPACK has what
 ``numpy.linalg`` does not wrap. Every symmetric positive-definite solve in
 regfit (kernel ridge, the GP posterior, the weighted MSE, the Woodbury check)
-keeps the lower triangle of its matrix in rectangular full packed format
-(Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010), built by
-``pack``, and factors it with the packed Cholesky ``dpftrf``, whose factor
-``dpftrs`` and ``dtfsm`` solve with. The three names are looked up once, the
-first time one is called, through the handle of
+hands ``cholesky`` its matrix as a function of row and column slices and the
+diagonal shifts to try. ``cholesky`` keeps the lower triangle in rectangular
+full packed format (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2),
+2010), shifts, checks and factors it with the packed Cholesky ``dpftrf``, and
+names the first failing minor; callers solve with the factor through
+``dpftrs`` and ``dtfsm`` and never touch the layout. The three names are
+looked up once, the first time one is called, through the handle of
 ``numpy.linalg._umath_linalg``, which is loaded with numpy, so importing
 regfit loads nothing more. A numpy whose LAPACK lacks one raises a
 ValidationError that names it and the BLAS numpy reports.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # Each routine's Fortran arguments in order: c a character, i an integer, d
 # a double, a an array, o the INFO integer LAPACK writes; every one is passed
@@ -108,15 +110,39 @@ def _check(name: str, what: str, a, shape: tuple, written: bool) -> None:
         raise ValueError(f"{name}: {what} is read-only")
 
 
-def pack(n: int, block, step: int) -> np.ndarray:
+def cholesky(n: int, block, step: int, shifts, what: str) -> np.ndarray:
+    """The packed Cholesky factor L (L L^T = A + shift I) of a symmetric n x n
+    matrix A given by ``block(rows, cols)``, which gives A[rows, cols] for two
+    slices: the first shift of ``shifts`` for which A + shift I is
+    positive-definite. Each attempt packs A afresh (``_pack``, in strips of
+    ``step`` rows), adds the shift to its diagonal, refuses a non-finite entry
+    and factors in place with ``dpftrf``; a failed attempt's buffer goes
+    before the next. If none succeeds, a NumericalError names ``what``, the
+    shift tried last and the order of the first leading minor that is not
+    positive-definite, as LAPACK reports it."""
+    for shift in shifts:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            A = _pack(n, block, step)
+            for diagonal in _diagonal(A, n):
+                diagonal += shift
+        if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN propagates
+            raise NumericalError(f"{what} plus {shift} I has non-finite entries")
+        info = dpftrf(n, A)
+        if info == 0:
+            return A
+        del A, diagonal  # the view holds the failed attempt too
+    raise NumericalError(f"{what} plus {shift} I is not positive-definite (Cholesky pivot "
+                         f"{info} fails: its leading minor of order {info} is not)")
+
+
+def _pack(n: int, block, step: int) -> np.ndarray:
     """The lower triangle of a symmetric n x n matrix A in rectangular full
-    packed format, from ``block(rows, cols)``, which gives A[rows, cols] for
-    two slices: with m = ceil(n / 2), an (n + 1 - n % 2) x m Fortran-ordered
-    array whose rows from 1 - n % 2 hold the lower trapezoid A[:, :m], and
-    whose upper triangle from column n % 2 holds the triangle A[m:, m:]
-    transposed. Both pieces are asked for in row strips of at most ``step``
-    rows and stored transposed, so no n x n array exists unless ``block``
-    holds one."""
+    packed format, from ``block(rows, cols)``: with m = ceil(n / 2), an
+    (n + 1 - n % 2) x m Fortran-ordered array whose rows from 1 - n % 2 hold
+    the lower trapezoid A[:, :m], and whose upper triangle from column n % 2
+    holds the triangle A[m:, m:] transposed. Both pieces are asked for in row
+    strips of at most ``step`` rows and stored transposed, so no n x n array
+    exists unless ``block`` holds one."""
     m = (n + 1) // 2
     packed = np.empty((n + 1 - n % 2) * m)
     R = packed.reshape((-1, m), order="F")
@@ -131,8 +157,8 @@ def pack(n: int, block, step: int) -> np.ndarray:
     return packed
 
 
-def diagonal(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of A_jj in ``pack``'s layout, j < m and j >= m: column j, row
+def _diagonal(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of A_jj in ``_pack``'s layout, j < m and j >= m: column j, row
     j + 1 - n % 2, and column j - m + n % 2, row j - m; in the flat array both
     are n + 2 - n % 2 entries apart."""
     step = n + 2 - n % 2

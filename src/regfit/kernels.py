@@ -12,23 +12,18 @@ posterior conditions a zero-mean joint Gaussian on the training targets:
 
 where q are query inputs and t training inputs (Rasmussen & Williams 2006,
 *GPML*, Alg. 2.1). Variances alone need only the diagonal of K(q, q), which
-``kernel_diag`` gives without forming the matrix. K(t, t) + reg I is kept as
-its lower triangle in LAPACK's rectangular full packed format, n (n + 1) / 2
-numbers (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010),
-built in column strips and factored in place. A fit or a model prediction
+``kernel_diag`` gives without forming the matrix. K(t, t) + reg I is factored
+by ``regfit._lapack.cholesky``, which keeps it packed, n (n + 1) / 2 numbers,
+and names the first leading minor that is not positive-definite when it
+fails; this module gives it only the kernel entries, the strip size and the
+shifts (reg, then DIAGONAL_JITTER when reg = 0). A fit or a model prediction
 holds that packed factor plus one query block or build strip for any q:
 queries go one block of at most ``_BLOCK_BYTES`` of K(block, t) at a time,
-a strip is half of that (a Gaussian kernel on two or more input columns and
-a polynomial kernel build one more array of its size), and finiteness is
-read from min and max (no mask). No n x n array exists, not even when the
-factorization fails: its message names the order of the first leading minor
-that is not positive-definite, which LAPACK reports. Roundoff's tiny negative
-posterior eigenvalues are clamped to zero.
-
-Kernels use ``regfit._lapack``: its ``pack`` lays out the strips, and LAPACK's
-packed Cholesky ``dpftrf`` and its solves ``dpftrs`` and ``dtfsm``, which
-``numpy.linalg`` does not wrap, come from the OpenBLAS that numpy bundles;
-that binding looks them up the first time a kernel is factored.
+and a strip is half of that (a Gaussian kernel on two or more input columns
+and a polynomial kernel build one more array of its size). No n x n array
+exists, not even when the factorization fails. The solves ``dpftrs`` and
+``dtfsm`` come from the same binding to the OpenBLAS that numpy bundles.
+Roundoff's tiny negative posterior eigenvalues are clamped to zero.
 
 Note on naming: the scalar Tikhonov regularizer is ``regularizer`` and the
 per-training-point coefficient matrix is ``dual_coef``; the two are distinct
@@ -159,37 +154,14 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n) // 8 * 8)
 
 
-def _packed_kernel(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """The lower triangle of K(X, X), packed by ``_lapack.pack`` in strips of
-    half _BLOCK_BYTES, since kernel_matrix may hold one more array of a
-    strip's size."""
-    return _lapack.pack(len(X), lambda rows, cols: kernel_matrix(kernel, X[rows], X[cols]),
-                        max(1, _block_rows(len(X)) // 2))
-
-
 def _factor_kernel(kernel: KernelSpec, X: np.ndarray, reg: float) -> np.ndarray:
-    """Packed Cholesky factor of K(X, X) + reg I, built and factored in one buffer."""
-    return _factor(lambda: _packed_kernel(kernel, X), len(X), reg)
-
-
-def _factor(build, n: int, reg: float) -> np.ndarray:
-    """Cholesky (lower, rectangular full packed) of the n x n K + reg I, each
-    attempt in place in a fresh packed K = build(); one retry with
-    DIAGONAL_JITTER when reg = 0. A failure names the shift tried last and
-    the order of the first leading minor that is not positive-definite."""
-    for shift in (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            A = build()
-            for diagonal in _lapack.diagonal(A, n):
-                diagonal += shift
-        if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN propagates
-            raise NumericalError(f"kernel matrix plus {shift} I has non-finite entries")
-        info = _lapack.dpftrf(n, A)
-        if info == 0:
-            return A
-        del A, diagonal  # a failed attempt (the view holds it too) goes before the next
-    raise NumericalError(f"kernel matrix plus {shift} I is not positive-definite (Cholesky "
-                         f"pivot {info} fails: its leading minor of order {info} is not)")
+    """Packed Cholesky factor of K(X, X) + reg I, built in strips of half
+    _BLOCK_BYTES, since kernel_matrix may hold one more array of a strip's
+    size; one retry with DIAGONAL_JITTER when reg = 0."""
+    n = len(X)
+    return _lapack.cholesky(n, lambda rows, cols: kernel_matrix(kernel, X[rows], X[cols]),
+                            max(1, _block_rows(n) // 2),
+                            (reg, DIAGONAL_JITTER) if reg == 0.0 else (reg,), "kernel matrix")
 
 
 def woodbury_discrepancy(Phi, alpha: float) -> float:
@@ -202,7 +174,7 @@ def woodbury_discrepancy(Phi, alpha: float) -> float:
 
     def solve(G, B):  # (G + alpha I)^-1 B
         k = len(G)
-        L = _factor(lambda: _lapack.pack(k, lambda rows, cols: G[rows, cols], k), k, alpha)
+        L = _lapack.cholesky(k, lambda rows, cols: G[rows, cols], k, (alpha,), "Gram matrix")
         return _lapack.dpftrs(k, L, np.array(B, order="F"))
 
     primal = solve(Phi.T @ Phi, Phi.T)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class MSE:
 @dataclass(frozen=True)
 class WeightedMSE:
     """Quadratic form weighted by the inverse of a SPD covariance matrix. The
-    spec keeps the covariance's packed Cholesky factor (``regfit._lapack``'s
-    ``pack`` and ``dpftrf``, which also proves it positive-definite, or names
-    the first leading minor that is not), so each value is one LAPACK
+    spec keeps the covariance's packed Cholesky factor from
+    ``regfit._lapack.cholesky``, which also proves it positive-definite or
+    names the first leading minor that is not, so each value is one LAPACK
     ``dpftrs`` solve."""
 
     covariance: np.ndarray
@@ -35,19 +35,16 @@ class WeightedMSE:
         S = np.array(self.covariance, dtype=float, copy=True)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValidationError("covariance must be square")
-        if not np.isfinite(S).all():  # LAPACK's Cholesky would pass inf through
+        if not S.size:
+            raise ValidationError("covariance must have at least one row")
+        if not np.isfinite(S).all():  # an input fault, and inf voids the symmetry test
             raise ValidationError("covariance must be finite")
         if not np.allclose(S, S.T, atol=1e-12 * max(1.0, np.abs(S).max())):
             raise ValidationError("covariance must be symmetric")
         S.setflags(write=False)
         object.__setattr__(self, "covariance", S)
-        n = len(S)
-        L = _lapack.pack(n, lambda rows, cols: S[rows, cols], n)
-        info = _lapack.dpftrf(n, L)
-        if info:
-            raise NumericalError(f"covariance is not positive-definite (Cholesky pivot "
-                                 f"{info} fails: its leading minor of order {info} is not)")
-        object.__setattr__(self, "_chol", L)
+        object.__setattr__(self, "_chol", _lapack.cholesky(
+            len(S), lambda rows, cols: S[rows, cols], len(S), (0.0,), "covariance"))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ the docstring), never fitted to the observed error."""
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -173,8 +173,23 @@ def _kkt_cases(draw):
     return problem, basis, 10.0 ** draw(st.floats(-10.0, -2.0)), data
 
 
+# Dirichlet 0 at both ends and Neumann 1 at 0 through 5 centres of shape 20:
+# the slope at 0 comes only from e^-25 tails, so w reaches 3.6e8, and the
+# boundary defect, 2.1e-8, is the rounding of ||B|| ||w||, above 1e-8 ||u_b||
+_TAILS_ONLY = (
+    physics.problem_from_dict({
+        "domain": [0.0, 1.0], "a": 0.5, "b": 0.0, "c": 0.0,
+        "source": {"kind": "sin", "amplitude": 0.0, "frequency": 1.0},
+        "boundary": [{"location": 1.0, "kind": "dirichlet", "value": 0.0},
+                     {"location": 0.0, "kind": "dirichlet", "value": 0.0},
+                     {"location": 0.0, "kind": "neumann", "value": 1.0}],
+    }),
+    linear.GaussianRBF(np.linspace(0.0, 1.0, 5)[:, None], 20.0), 0.01, None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_kkt_cases())
+@example(_TAILS_ONLY)
 def test_constrained_solve_meets_the_kkt_conditions(case):
     """constrained_solve minimizes w^T H w / 2 - f^T w subject to B w = u_b,
     with H = 2 alpha_reg I + sum over row blocks M of (2/n) M^T M and

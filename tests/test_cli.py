@@ -508,6 +508,16 @@ def test_refused_command_leaves_no_output_directory(data_csv, poisson_json, tmp_
     assert not (tmp_path / "refused").exists()
 
 
+_REFUSED_FILES = {  # name: contents, each refused by some command below
+    "two-inputs.csv": "x0,x1,y0\n0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n",
+    "y-only.csv": "y0\n0.1\n0.2\n",
+    "empty.csv": "",
+    "unknown-kind.json": '{"kind": "svm"}',
+    "three-number-domain.json": '{"domain": [0.0, 1.0, 2.0], "a": 1.0, "boundary": '
+                                '[{"location": 0.0, "kind": "dirichlet", "value": 0.0}]}',
+}
+
+
 @pytest.mark.parametrize("args, message", [
     *((args, "--seed must be nonnegative, got -1") for args in (
         ["gen-data", "--seed", -1],
@@ -523,19 +533,43 @@ def test_refused_command_leaves_no_output_directory(data_csv, poisson_json, tmp_
      "tournament_size 100000000000 exceeds population_size 200"),
     (["symreg", "--population", 3, "--tournament", 4, "--input", "DATA"],
      "tournament_size 4 exceeds population_size 3"),
+    (["fit", "--model", "ridge", "--rbf-centers", 5, "--input", "two-inputs.csv"],
+     "--rbf-centers places centers over a 1-D input range"),
+    (["fit", "--model", "mlp", "--layers", "2,4,1", "--epochs", 2, "--input", "DATA"],
+     "--layers 2,4,1 does not match data widths (1 in, 1 out)"),
+    (["predict", "--model", "unknown-kind.json", "--input", "DATA"],
+     "{tmp}/unknown-kind.json: unknown model kind 'svm'"),
+    (["predict", "--model", "MODEL", "--input", "y-only.csv"],
+     "{tmp}/y-only.csv: header must contain at least one x column"),
+    (["fit", "--model", "ridge", "--input", "empty.csv"],
+     "{tmp}/empty.csv: empty file, header expected"),
+    (["predict", "--model", "short-weights.json", "--input", "DATA"],
+     "{tmp}/short-weights.json: weight rows (3) must equal basis size (4)"),
+    (["pde-solve", "--problem", "PROBLEM", "--input", "two-inputs.csv"],
+     "physics-constrained fits support 1-D inputs"),
+    (["pde-solve", "--problem", "three-number-domain.json"],
+     "{tmp}/three-number-domain.json: problem key 'domain' must hold 2 numbers, got 3"),
 ], ids=["gen-data-seed", "fit-seed", "fit-mlp-seed", "predict-seed", "cv-seed",
         "bootstrap-seed", "pde-solve-seed", "symreg-seed", "symreg-tournament",
-        "symreg-tournament-over-population"])
+        "symreg-tournament-over-population", "fit-rbf-centers-two-inputs",
+        "fit-mlp-layers-mismatch", "predict-unknown-kind", "predict-y-columns-only",
+        "fit-empty-csv", "predict-linear-weight-rows", "pde-solve-two-inputs",
+        "pde-solve-three-number-domain"])
 def test_refused_in_process_with_one_error_line(data_csv, poisson_json, tmp_path, capsys, args,
                                                message):
     model = tmp_path / "ridge"
     assert run(["fit", "--model", "ridge", "--input", data_csv, "--output", model]) == 0
-    args = [{"DATA": data_csv, "MODEL": model / "model.json", "PROBLEM": poisson_json}.get(a, a)
-            for a in args]
+    doc = json.loads((model / "model.json").read_text())  # a cubic: 4 weight rows
+    files = {**_REFUSED_FILES, "short-weights.json": json.dumps(
+        {**doc, "weights": doc["weights"][:3]})}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    places = {"DATA": data_csv, "MODEL": model / "model.json", "PROBLEM": poisson_json}
+    args = [places.get(a, tmp_path / a if a in files else a) for a in args]
     out = tmp_path / "refused" / "out"
     capsys.readouterr()
     assert run([*args, "--output", out]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "refused").exists()
 
 

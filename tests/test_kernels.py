@@ -58,6 +58,20 @@ def _unpacked(P, n):
     return np.tril(lapack.dtfttr(n, P, uplo="L")[0])
 
 
+def _kernel_of(K, monkeypatch, strip=None):
+    """Inputs X for which kernels._factor_kernel(None, X, reg) factors K + reg I:
+    X holds row numbers and kernel_matrix gives K's blocks as views, so only
+    the factor's own buffers are allocated; with ``strip`` the build strips
+    hold that many rows (_BLOCK_BYTES set to 16 n strip)."""
+    def blocks(_spec, A, B):  # the strips ask for contiguous rows and columns
+        return K[int(A[0, 0]) : int(A[-1, 0]) + 1, int(B[0, 0]) : int(B[-1, 0]) + 1]
+
+    monkeypatch.setattr(kernels, "kernel_matrix", blocks)
+    if strip is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 16 * len(K) * strip)
+    return np.arange(len(K), dtype=float)[:, None]
+
+
 @pytest.mark.parametrize("spec", KERNELS)
 def test_kernel_diag_matches_matrix_diagonal(spec):
     X = np.random.default_rng(12).standard_normal((9, 3))
@@ -252,56 +266,61 @@ class TestGPR:
         m = kernels.krr_fit(d, kernels.GaussianKernel(1.0), 0.0)
         assert np.isfinite(m.dual_coef).all()
 
-    def test_factorization_failure_reports_pivot(self):
+    def test_factorization_failure_reports_pivot(self, monkeypatch):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         # the retry's shift is the one reported, with LAPACK's own pivot
         info = lapack.dpftrf(2, _packed(indefinite + kernels.DIAGONAL_JITTER * np.eye(2)),
                              uplo="L")[1]
+        X = _kernel_of(indefinite, monkeypatch)
         with pytest.raises(NumericalError, match=rf"plus 1e-10 I .*pivot {info} .*order {info}\b"):
-            kernels._factor(lambda: _packed(indefinite), 2, 0.0)
+            kernels._factor_kernel(None, X, 0.0)
 
-    def test_jitter_retry_factors_k_plus_jitter(self):
+    def test_jitter_retry_factors_k_plus_jitter(self, monkeypatch):
         K = np.ones((3, 3))  # PSD, rank 1: the plain factorization fails
-        L = _unpacked(kernels._factor(lambda: _packed(K), 3, 0.0), 3)
+        L = _unpacked(kernels._factor_kernel(None, _kernel_of(K, monkeypatch), 0.0), 3)
         np.testing.assert_allclose(L @ L.T, K + kernels.DIAGONAL_JITTER * np.eye(3),
                                    rtol=0, atol=1e-15)
         np.testing.assert_array_equal(K, np.ones((3, 3)))
 
-    def test_non_pd_error_names_smallest_eigenvalue(self):
+    def test_non_pd_error_names_smallest_eigenvalue(self, monkeypatch):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         info = lapack.dpftrf(2, _packed(indefinite + 0.5 * np.eye(2)), uplo="L")[1]
         assert info == 2  # eigenvalue -0.5: the 2 x 2 minor is the first that fails
+        X = _kernel_of(indefinite, monkeypatch)
         with pytest.raises(NumericalError, match=rf"plus 0\.5 I .*order {info}\b"):
-            kernels._factor(lambda: _packed(indefinite), 2, 0.5)
+            kernels._factor_kernel(None, X, 0.5)
         np.testing.assert_array_equal(indefinite, [[1.0, 2.0], [2.0, 1.0]])
 
-    def test_factor_is_the_packed_cholesky_of_the_sum_in_one_copy(self):
+    def test_factor_is_the_packed_cholesky_of_the_sum_in_one_copy(self, monkeypatch):
         X = np.random.default_rng(16).uniform(-2, 2, (400, 1))
         K = kernels.kernel_matrix(kernels.GaussianKernel(4.0), X, X)
         expected = _packed(K + 1e-2 * np.eye(400))
         assert _lapack.dpftrf(400, expected) == 0
         P = _packed(K)
+        rows = _kernel_of(K, monkeypatch, strip=64)
         tracemalloc.start()
         try:
-            L = kernels._factor(P.copy, 400, 1e-2)
+            L = kernels._factor_kernel(None, rows, 1e-2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(L, expected)
-        # the copy that becomes the factor, plus O(n) for the diagonal shift;
-        # the finiteness test reads min and max and builds no mask
+        # the buffer that becomes the factor, plus O(n) for the diagonal shift
+        # and a strip's triangle mask; the finiteness test reads min and max
+        # and builds no mask
         assert peak < P.nbytes + 64 * len(K), f"peak {peak} B, packed K {P.nbytes} B"
 
-    def test_a_failed_factorization_holds_one_packed_copy(self):
+    def test_a_failed_factorization_holds_one_packed_copy(self, monkeypatch):
         X = np.random.default_rng(16).uniform(-2, 2, (400, 1))
         K = kernels.kernel_matrix(kernels.GaussianKernel(4.0), X, X) + 1e-2 * np.eye(400)
         K[299, 299] -= 2.0  # a negative pivot at order 300, with or without jitter
         P = _packed(K)
         assert lapack.dpftrf(400, P, uplo="L")[1] == 300
+        rows = _kernel_of(K, monkeypatch, strip=64)
         tracemalloc.start()
         try:
             with pytest.raises(NumericalError, match=r"plus 1e-10 I .*order 300\b"):
-                kernels._factor(P.copy, 400, 0.0)
+                kernels._factor_kernel(None, rows, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,9 +407,8 @@ def test_packed_kernel_is_the_lower_triangle_of_k_plus_reg_i(data, n, width, str
     ]))
     with pytest.MonkeyPatch.context() as mp:  # strips of `strip` columns: 16 n strip bytes
         mp.setattr(kernels, "_BLOCK_BYTES", 16 * n * strip)
-        P = kernels._packed_kernel(spec, X)
-    for diagonal in _lapack.diagonal(P, n):
-        diagonal += reg
+        mp.setattr(_lapack, "dpftrf", lambda _n, _a: 0)  # hands back what it would factor
+        P = kernels._factor_kernel(spec, X, reg)
     expected = np.tril(kernels.kernel_matrix(spec, X, X) + reg * np.eye(n))
     if isinstance(spec, kernels.GaussianKernel) or width == 1:  # elementwise: the same bits
         np.testing.assert_array_equal(_unpacked(P, n), expected)
@@ -529,10 +547,11 @@ def test_query_kernel_names_the_first_row_with_only_nan_or_only_inf(bad_row, onl
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_factor_refuses_a_kernel_with_only_nan_or_only_inf(bad):
+def test_factor_refuses_a_kernel_with_only_nan_or_only_inf(bad, monkeypatch):
     K = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, bad], [0.0, bad, 1.0]])
+    X = _kernel_of(K, monkeypatch)
     with pytest.raises(NumericalError, match=r"kernel matrix plus 0\.1 I has non-finite entries"):
-        kernels._factor(lambda: _packed(K), 3, 0.1)
+        kernels._factor_kernel(None, X, 0.1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -66,7 +66,7 @@ class TestWeightedMSE:
         def refactor(*_args, **_kwargs):
             raise AssertionError("covariance factored again")
 
-        for name in ("pack", "dpftrf"):
+        for name in ("cholesky", "dpftrf"):
             monkeypatch.setattr(_lapack, name, refactor)
         assert losses.weighted_mse(y, yh, spec) == expected
         assert losses.gradient_rule(spec)[0](yh - y, 5).shape == (5, 1)

@@ -355,7 +355,8 @@ def test_constrained_solve_meets_every_boundary_condition(
         coeffs, left, right, basis, alpha_reg, seed, with_data):
     # Boundary rows of less than full rank (two Neumann conditions on a
     # line, say) are refused; otherwise every condition holds to
-    # BC_RESIDUAL_RTOL and the reported defect is the norm of B w - u_b.
+    # BC_RESIDUAL_RTOL of max(1, ||B||_F ||w|| + ||u_b||) and the reported
+    # defect is the norm of B w - u_b.
     problem = _two_point_problem(coeffs, left, right)
     data = None
     if with_data:
@@ -368,7 +369,7 @@ def test_constrained_solve_meets_every_boundary_condition(
         return
     solution = physics.constrained_solve(problem, basis, alpha_reg, data)
     defect = B @ solution.weights - u_b
-    scale = max(1.0, float(np.linalg.norm(u_b)))
+    scale = max(1.0, np.linalg.norm(B) * np.linalg.norm(solution.weights) + np.linalg.norm(u_b))
     assert np.all(np.abs(defect) <= physics.BC_RESIDUAL_RTOL * scale)
     assert solution.constraint_residual_norm == float(np.linalg.norm(defect))
 

@@ -81,6 +81,11 @@ REFUSALS = [
     # losses
     _row("weighted-mse-not-square", lambda: losses.WeightedMSE(np.ones((2, 3))), V,
          "covariance must be square"),
+    _row("weighted-mse-empty", lambda: losses.WeightedMSE(np.zeros((0, 0))), V,
+         "covariance must have at least one row"),
+    _row("weighted-mse-zero-rows",
+         lambda: losses.weighted_mse(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 0))), V,
+         "covariance must have at least one row"),
     _row("weighted-mse-asymmetric",
          lambda: losses.WeightedMSE(np.array([[1.0, 0.5], [0.0, 1.0]])), V,
          "covariance must be symmetric"),
