@@ -132,6 +132,9 @@ def cmd_fit(args) -> int:
     started = time.perf_counter()
     d = load_csv(args.input)
     loss = losses.parse_loss_spec(args.loss)
+    if args.model in ("krr", "gpr") and isinstance(loss, losses.Penalized):
+        raise ValidationError(f"--loss {args.loss} penalizes a weight vector, which a "
+                              f"{args.model} model does not have")
     standardize_doc = _standardizer(d) if args.standardize else None
     fit_data = (Dataset(_apply_standardize(standardize_doc, d.inputs), d.targets)
                 if standardize_doc else d)
@@ -169,7 +172,7 @@ def cmd_fit(args) -> int:
                                  "finite; no model written")
     if history is not None:  # the last epoch's cost is the loss at the returned weights
         final_loss = history[-1]
-    else:  # a kernel model has no weight vector for a loss penalty to act on
+    else:  # a kernel model has no weight vector, and its loss no penalty (refused above)
         params = None if args.model in ("krr", "gpr") else model.get_params()
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             final_loss = losses.loss_value(loss, fit_data.targets,

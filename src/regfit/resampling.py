@@ -1,7 +1,8 @@
 """Ensemble model assessment: bootstrap, bagged prediction, K-fold CV.
 
-Bootstrap members use independent random substreams derived from
-(seed, member index), so the results do not depend on evaluation order.
+A bootstrap run draws its members in order from one
+``np.random.default_rng(seed)`` stream, as every seeded path in regfit
+does, so the first k members of any run are exactly the k-member run.
 Two resampling modes exist: "split" draws a disjoint train/test partition
 per member, "replacement" draws the training rows with replacement and
 tests on the rows that were never drawn.
@@ -25,9 +26,7 @@ one-member-at-a-time path.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import islice, permutations, product
 
 import numpy as np
 
@@ -37,10 +36,6 @@ from .errors import NumericalError, ValidationError
 from .losses import mse
 
 _REDRAW_CAP = 100
-
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx), PCG64's multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
 # Byte budget of one block's gathered feature rows. A member gathers at most
 # n_p rows on each side of its split, so a block of
@@ -79,8 +74,11 @@ class CVReport:
         return float(self.per_fold_mse.std())
 
 
-def _test_size(n_points: int, test_fraction: float, mode: str) -> int:
-    """Checked once per run: each member's n_test (undrawn rows in replacement mode)."""
+def _bootstrap_run(n_points: int, n_members: int, test_fraction: float, mode: str, seed: int):
+    """Checked once per run: each member's n_test (undrawn rows in replacement
+    mode), and the one generator the run draws all its members from, in order."""
+    if n_members < 1:
+        raise ValidationError(f"need at least one member, got {n_members}")
     if not 0.0 <= test_fraction < 1.0:
         raise ValidationError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     if mode not in ("split", "replacement"):
@@ -90,17 +88,20 @@ def _test_size(n_points: int, test_fraction: float, mode: str) -> int:
         empty = "training set" if n_test == n_points else "test set in split mode"
         raise ValidationError(f"test_fraction={test_fraction} leaves an empty {empty} "
                               f"for n={n_points}")
-    return n_test
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return n_test, np.random.default_rng(seed)
 
 
-def _draw_block(n_points: int, n_test: int, mode: str, rngs):
-    """The (train, test) rows of one member per generator of ``rngs``. Split
-    mode sorts the block's permutations as one 2-D array."""
+def _draw_block(n_points: int, n_test: int, mode: str, rng, count: int):
+    """The (train, test) rows of the next ``count`` members drawn from ``rng``.
+    Split mode permutes the block's rows as one 2-D array, which takes from the
+    stream what ``count`` successive ``rng.permutation(n_points)`` calls take."""
     if mode == "split":
-        perms = np.stack([rng.permutation(n_points) for rng in rngs])
+        perms = rng.permuted(np.tile(np.arange(n_points), (count, 1)), axis=1)
         yield from zip(np.sort(perms[:, n_test:]), np.sort(perms[:, :n_test]))
         return
-    for rng in rngs:
+    for _ in range(count):
         for _ in range(_REDRAW_CAP):  # redraw until some row is never drawn
             train = np.sort(rng.integers(0, n_points, size=n_points - n_test))
             test = np.flatnonzero(np.bincount(train, minlength=n_points) == 0)
@@ -110,51 +111,6 @@ def _draw_block(n_points: int, n_test: int, mode: str, rngs):
             raise ValidationError(f"could not draw a member with a nonempty test set in "
                                   f"{_REDRAW_CAP} tries")
         yield train, test
-
-
-def _member_seeds(seed: int, n_members: int) -> np.ndarray:
-    """Row j: ``np.random.SeedSequence([seed, j]).generate_state(4, np.uint64)``
-    for every j < n_members (< 2**32) at once, hashmix and mix running on
-    uint32 columns: the entropy is seed's 32-bit words, then j."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    const = [_INIT_A]  # steps the same way for every member
-
-    def hashmix(value, mult=_MULT_A):
-        value = value ^ const[0]
-        const[0] = const[0] * mult & 0xFFFFFFFF
-        value = value * const[0]
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ r >> 16
-
-    entropy = [np.full(n_members, seed >> k & 0xFFFFFFFF, np.uint32)
-               for k in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.arange(n_members, dtype=np.uint32))
-    pool = [hashmix(word) for word in (entropy + [np.zeros(n_members, np.uint32)] * 4)[:4]]
-    for src, dst in permutations(range(4), 2):  # each pool word into every other
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word, dst in product(entropy[4:], range(4)):  # entropy past the pool's 4 words
-        pool[dst] = mix(pool[dst], hashmix(word))
-    const[0] = _INIT_B  # generate_state: eight words, little-endian pairs
-    words = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _member_rngs(seeds):
-    """One Generator, set before each member j to ``default_rng([seed, j])``'s
-    state: pcg64_set_seed's two LCG steps on row j of ``_member_seeds``."""
-    rng = np.random.Generator(np.random.PCG64())
-    for row in seeds:  # to Python ints a row at a time, the high word of each pair first
-        s_hi, s_lo, i_hi, i_lo = row.tolist()
-        inc = (i_hi << 65 | i_lo << 1 | 1) % (1 << 128)
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % (1 << 128)
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-        yield rng
 
 
 def bootstrap_ensemble(
@@ -172,15 +128,12 @@ def bootstrap_ensemble(
     MSE on its held-out rows; the flat weights populate one column of the
     returned matrix. Reproducible by seed.
     """
-    if n_members < 1:
-        raise ValidationError(f"need at least one member, got {n_members}")
-    n_test = _test_size(d.n_points, test_fraction, mode)
+    n_test, rng = _bootstrap_run(d.n_points, n_members, test_fraction, mode, seed)
     j_i = np.zeros(n_members)
     j_o = np.zeros(n_members)
     columns = []
     for j in range(n_members):
-        rng = np.random.default_rng([seed, j])
-        train_idx, test_idx = next(_draw_block(d.n_points, n_test, mode, [rng]))
+        train_idx, test_idx = next(_draw_block(d.n_points, n_test, mode, rng, 1))
         train, test = d.take(train_idx), d.take(test_idx)
         w, predictor = fit_fn(train)
         columns.append(np.asarray(w, dtype=float).ravel())
@@ -201,14 +154,11 @@ def ridge_bootstrap(
     """``bootstrap_ensemble`` of ``linear.ridge_fit(train, basis, alpha)``:
     the same members and bit-identical weights and errors, from one feature
     matrix and one stacked ridge solve per block of members."""
-    if n_members < 1:
-        raise ValidationError(f"need at least one member, got {n_members}")
-    n_test = _test_size(d.n_points, test_fraction, mode)
-    rngs = _member_rngs(_member_seeds(seed, n_members))  # refuses a negative seed
+    n_test, rng = _bootstrap_run(d.n_points, n_members, test_fraction, mode, seed)
 
     def draws(step):  # drawn in the blocks that are fitted together
         for first in range(0, n_members, step):
-            yield from _draw_block(d.n_points, n_test, mode, islice(rngs, step))
+            yield from _draw_block(d.n_points, n_test, mode, rng, min(step, n_members - first))
 
     return _ridge_members(d, basis, alpha, n_members, draws, "bootstrap member")
 

@@ -495,16 +495,25 @@ def test_one_center_with_an_explicit_shape(data_csv, tmp_path):
     (["pde-solve", "--samples", 0, "--problem", "PROBLEM"], 1),
     (["symreg", "--population", 1, "--input", "DATA"], 1),
     (["symreg", "--max-depth", 18, "--input", "DATA"], 1),
+    (["bootstrap", "--mode", "replacement", "--test-fraction", 0, "--degree", 0,
+      "--input", "ONE-ROW"], 1),
 ], ids=["gen-data", "fit", "fit-mlp-diverged", "predict", "cv", "bootstrap", "pde-solve",
-        "symreg", "symreg-max-depth"])
+        "symreg", "symreg-max-depth", "bootstrap-redraw-cap"])
 def test_refused_command_leaves_no_output_directory(data_csv, poisson_json, tmp_path, args,
                                                     code):
+    one_row = tmp_path / "one-row.csv"  # every full-size draw covers its one row
+    one_row.write_text("x0,y0\n0.5,1.0\n")
     out = tmp_path / "refused" / "out"
-    args = [{"DATA": data_csv, "PROBLEM": poisson_json}.get(a, a) for a in args]
+    redraws = "ONE-ROW" in args
+    args = [{"DATA": data_csv, "PROBLEM": poisson_json, "ONE-ROW": one_row}.get(a, a)
+            for a in args]
     proc = _cli_process([*args, "--output", out])
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error: " if code == 1 else "numerical failure: ")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    if redraws:
+        assert proc.stderr == ("error: could not draw a member with a nonempty test set "
+                               "in 100 tries\n")
     assert not (tmp_path / "refused").exists()
 
 
@@ -549,12 +558,16 @@ _REFUSED_FILES = {  # name: contents, each refused by some command below
      "physics-constrained fits support 1-D inputs"),
     (["pde-solve", "--problem", "three-number-domain.json"],
      "{tmp}/three-number-domain.json: problem key 'domain' must hold 2 numbers, got 3"),
+    (["fit", "--model", "krr", "--alpha", 0.1, "--loss", "ridge:0.5", "--input", "DATA"],
+     "--loss ridge:0.5 penalizes a weight vector, which a krr model does not have"),
+    (["fit", "--model", "gpr", "--loss", "lasso:0.1", "--input", "DATA"],
+     "--loss lasso:0.1 penalizes a weight vector, which a gpr model does not have"),
 ], ids=["gen-data-seed", "fit-seed", "fit-mlp-seed", "predict-seed", "cv-seed",
         "bootstrap-seed", "pde-solve-seed", "symreg-seed", "symreg-tournament",
         "symreg-tournament-over-population", "fit-rbf-centers-two-inputs",
         "fit-mlp-layers-mismatch", "predict-unknown-kind", "predict-y-columns-only",
         "fit-empty-csv", "predict-linear-weight-rows", "pde-solve-two-inputs",
-        "pde-solve-three-number-domain"])
+        "pde-solve-three-number-domain", "fit-krr-ridge-loss", "fit-gpr-lasso-loss"])
 def test_refused_in_process_with_one_error_line(data_csv, poisson_json, tmp_path, capsys, args,
                                                message):
     model = tmp_path / "ridge"
@@ -647,8 +660,9 @@ def _one_nonzero_row_csv(tmp_path):
 
 
 def test_singular_bootstrap_member_is_named(tmp_path, capsys):
-    first = next(j for j in range(100) if 0 not in next(resampling._draw_block(
-        10, 3, "split", [np.random.default_rng([0, j])]))[0])
+    rng = np.random.default_rng(0)  # the run's one stream, its members drawn in order
+    first = next(j for j in range(100)
+                 if 0 not in next(resampling._draw_block(10, 3, "split", rng, 1))[0])
     assert first > 0
     capsys.readouterr()
     assert run(["bootstrap", "--input", _one_nonzero_row_csv(tmp_path), "--degree", 1,

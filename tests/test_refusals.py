@@ -102,6 +102,12 @@ REFUSALS = [
          "penalty alpha must be nonnegative"),
     _row("loss-value-unknown-spec", lambda: losses.loss_value("mse", [1.0], [1.0]), V,
          "unknown loss spec 'mse'"),
+    _row("eps-insensitive-negative-epsilon", lambda: losses.eps_insensitive(np.ones(3), -1.0),
+         V, "epsilon must be nonnegative"),
+    _row("penalized-negative-alpha", lambda: losses.penalized(1.0, np.ones(3), -1.0), V,
+         "penalty alpha must be nonnegative"),
+    _row("penalized-norm-l3", lambda: losses.penalized(1.0, np.ones(3), 1.0, "l3"), V,
+         "penalty norm must be 'l1' or 'l2', got 'l3'"),
     # network and optim
     _row("unknown-activation", lambda: network.init_mlp([1, 1], ["swish"]), V,
          "unknown activation 'swish'"),
@@ -113,6 +119,10 @@ REFUSALS = [
          "optimizer buffer shape (2,) does not match parameters (3,)"),
     _row("unknown-optimizer-state", lambda: optim.step("adam", np.zeros(2), np.zeros(2)), V,
          "unknown optimizer state 'adam'"),
+    _row("flat-objective-target-width",
+         lambda: network.init_mlp([1, 1]).flat_objective(_TWO_TARGETS.inputs,
+                                                         _TWO_TARGETS.targets, losses.MSE()),
+         V, "shape mismatch: (5, 2) vs (5, 1)"),
     # physics
     _row("collocation-point-on-boundary", lambda: _problem(np.array([0.5, 1.0])), V,
          "collocation points must lie strictly inside the domain"),
@@ -127,6 +137,14 @@ REFUSALS = [
          "alpha_reg must be nonnegative"),
     _row("kkt-alpha-reg-0", lambda: physics.constrained_solve(_problem(), _RBF, 0.0), V,
          "alpha_reg must be positive"),
+    _row("pinn-two-inputs",
+         lambda: physics.pinn_train(network.init_mlp([2, 4, 1]), _problem(), None, 1.0,
+                                    optim.Adam(), optim.BatchSchedule(4, 1)), V,
+         "a PINN network maps 1 input to 1 output"),
+    _row("pinn-negative-alpha-phys",
+         lambda: physics.pinn_train(network.init_mlp([1, 4, 1]), _problem(), None, -1.0,
+                                    optim.Adam(), optim.BatchSchedule(4, 1)), V,
+         "alpha_phys must be nonnegative"),
     # resampling and data
     _row("band-negative-in-sample-mse", lambda: resampling.bagged_band(np.zeros((3, 2)), -1.0),
          V, "mean in-sample MSE must be nonnegative"),

@@ -68,15 +68,6 @@ class TestBootstrap:
                                                mode="replacement", seed=3)
         assert (result.out_sample_mse >= 0).all()
 
-    def test_members_use_independent_substreams(self):
-        # member j is reproducible in isolation from (seed, j)
-        d = _noisy_data(50, seed=4)
-        full = resampling.bootstrap_ensemble(d, _line_fit, 6, seed=11)
-        rng = np.random.default_rng([11, 3])
-        train_idx, test_idx = next(resampling._draw_block(50, 15, "split", [rng]))
-        w, _ = _line_fit(d.take(train_idx))
-        np.testing.assert_array_equal(full.weight_population[:, 3], w)
-
     def test_replacement_redraw_keeps_test_nonempty(self):
         # with n=2 and full-size draws, about half the draws cover every row;
         # the redraw loop must still deliver members with a nonempty test set
@@ -218,40 +209,42 @@ def test_ridge_bootstrap_equals_generic(basis, mode, test_fraction, alpha, small
     np.testing.assert_array_equal(got.out_sample_mse, ref.out_sample_mse)
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
-       n_members=st.integers(1, 5000), data=st.data())
-@example(seed=2**200, n_members=5000, data=None)  # 8 entropy words: 4 mixed in past the pool
-@example(seed=0, n_members=1, data=None)
-def test_member_seeding_equals_numpys(seed, n_members, data):
-    # ridge_bootstrap's vectorized seeding against numpy's own, member by member
-    picks = {0, n_members - 1}
-    if data is not None:
-        picks |= set(data.draw(st.lists(st.integers(0, n_members - 1), max_size=12)))
-    picks = sorted(picks)
-    seeds = resampling._member_seeds(seed, n_members)
-    assert seeds.shape == (n_members, 4) and seeds.dtype == np.uint64
-    for j in picks:
-        ref = np.random.SeedSequence([seed, j]).generate_state(4, np.uint64)
-        np.testing.assert_array_equal(seeds[j], ref)
-    # the reused generator, set to each member's state, draws what default_rng does
-    n_points = 2 + seed % 97
-    for mode, n_test in (("split", 1 + seed % (n_points - 1)), ("replacement", 0)):
-        rngs = resampling._member_rngs(seeds[picks])
-        got = list(resampling._draw_block(n_points, n_test, mode, rngs))
-        for (train, test), j in zip(got, picks, strict=True):
-            ref = next(resampling._draw_block(n_points, n_test, mode,
-                                              [np.random.default_rng([seed, j])]))
-            np.testing.assert_array_equal(train, ref[0])
-            np.testing.assert_array_equal(test, ref[1])
-    # a negative seed is refused, as numpy refuses it, before any draw
-    assert issubclass(ValidationError, ValueError)
-    with pytest.raises(ValueError):
-        np.random.default_rng([-seed - 1, 0])
+@settings(max_examples=40, deadline=None)
+@given(n_points=st.integers(3, 12), n_members=st.integers(1, 12), k=st.integers(1, 12),
+       mode=st.sampled_from(["split", "replacement"]), test_fraction=st.floats(0.0, 0.6),
+       per_block=st.integers(1, 13), seed=st.integers(0, 2**32 - 1))
+@example(n_points=3, n_members=12, k=5, mode="replacement", test_fraction=0.0, per_block=1,
+         seed=0)  # 2 in 9 full-size draws on 3 rows cover every row and are redrawn
+def test_blocks_of_members_are_the_member_by_member_draws(n_points, n_members, k, mode,
+                                                           test_fraction, per_block, seed):
+    # one stream per run: ridge_bootstrap's blocks (per_block members each) draw what
+    # bootstrap_ensemble draws one member at a time, and a run's first k members are
+    # the k-member run
+    n_test = int(np.rint(test_fraction * n_points))
+    if mode == "split" and not n_test:
+        test_fraction = 1.0 / n_points
+    d, basis = _noisy_data(n_points, seed=seed % 7), linear.Polynomial(2)
+    with mock.patch.object(resampling, "_STACK_BYTES", per_block * 8 * n_points * 3):
+        got = resampling.ridge_bootstrap(d, basis, 0.1, n_members, test_fraction, mode, seed)
+        head = resampling.ridge_bootstrap(d, basis, 0.1, min(k, n_members), test_fraction,
+                                          mode, seed)
+    ref = resampling.bootstrap_ensemble(d, _ridge_fit_fn(basis, 0.1), n_members,
+                                        test_fraction, mode, seed)
+    for field in ("weight_population", "in_sample_mse", "out_sample_mse"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+        np.testing.assert_array_equal(getattr(head, field),
+                                      getattr(got, field)[..., :head.n_members])
+
+
+@pytest.mark.parametrize("bootstrap", [
+    lambda seed: resampling.ridge_bootstrap(_noisy_data(20), linear.Polynomial(1), 0.0, 3,
+                                            seed=seed),
+    lambda seed: resampling.bootstrap_ensemble(_noisy_data(20), _line_fit, 3, seed=seed),
+], ids=["ridge_bootstrap", "bootstrap_ensemble"])
+def test_negative_seed_is_refused_before_any_draw(bootstrap):
     with (mock.patch.object(resampling, "_draw_block", side_effect=AssertionError("drew")),
-          pytest.raises(ValidationError, match="seed must be nonnegative")):
-        resampling.ridge_bootstrap(_noisy_data(20), linear.Polynomial(1), 0.0, n_members,
-                                   seed=-seed - 1)
+          pytest.raises(ValidationError, match="seed must be nonnegative, got -1")):
+        bootstrap(-1)
 
 
 @pytest.mark.parametrize("n_folds", [60, 12, 7], ids=["leave-one-out", "k-divides-n",
